@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/phys_mem.hh"
 #include "mem/tlb.hh"
@@ -166,6 +170,63 @@ TEST_P(CacheGeometry, RandomAccessesNeverCrash)
     for (int i = 0; i < 5000; ++i)
         cache.access(rng.below(1 << 22), rng.chance(1, 3), hit);
     EXPECT_EQ(cache.hits() + cache.misses(), 5000u);
+}
+
+TEST_P(CacheGeometry, RefPathMatchesSetScan)
+{
+    // The memoized Cache::Ref / Tlb::Ref paths are exact by
+    // revalidation: one random stream of reads, writes and flushes
+    // through access() and through accessRef() must agree in latency
+    // and in every counter at every step.
+    auto [size_kb, assoc] = GetParam();
+    const std::vector<CacheParams> levels = {
+        {"l1", std::uint64_t(size_kb) * 1024, 64, std::uint32_t(assoc), 2},
+        {"l2", 64 * 1024, 64, 8, 10}};
+    CacheHierarchy plain(levels, 100), memo(levels, 100);
+    const TlbParams tlb_params{"tlb", 16, 4, 4096, 30};
+    Tlb plain_tlb(tlb_params), memo_tlb(tlb_params);
+    Cache::Ref refs[2];
+    Tlb::Ref tlb_ref;
+    SplitMix64 rng(7);
+    Addr addr = 0;
+    for (int i = 0; i < 4000; ++i) {
+        addr = rng.chance(1, 4) ? rng.below(1 << 20) : addr + rng.below(24);
+        switch (rng.below(16)) {
+          case 0:
+            plain.flushAll();
+            memo.flushAll();
+            break;
+          case 1:
+            for (std::size_t l = 0; l < plain.numLevels(); ++l) {
+                plain.level(l).flushLine(addr);
+                memo.level(l).flushLine(addr);
+            }
+            break;
+          case 2:
+            plain_tlb.flushPage(addr);
+            memo_tlb.flushPage(addr);
+            break;
+          case 3:
+            plain_tlb.flushAll();
+            memo_tlb.flushAll();
+            break;
+          default: {
+            const bool write = rng.chance(1, 3);
+            ASSERT_EQ(plain.access(addr, write),
+                      memo.accessRef(addr, write, refs[rng.below(2)]))
+                << "step " << i;
+            ASSERT_EQ(plain_tlb.access(addr),
+                      memo_tlb.accessRef(addr, tlb_ref))
+                << "step " << i;
+          }
+        }
+        std::map<std::string, double> want, got;
+        plain.stats().values("", want);
+        memo.stats().values("", got);
+        plain_tlb.stats().values("", want);
+        memo_tlb.stats().values("", got);
+        ASSERT_EQ(want, got) << "step " << i;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -50,10 +50,12 @@
  *       --metrics-out=lm.metrics.json --flame-out=lm.folded
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -119,6 +121,22 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/**
+ * A decimal count in [lo, hi]. Anything else (empty, signed,
+ * non-numeric, trailing junk, out of range) is a usage error.
+ */
+std::uint64_t
+count(const char *argv0, const std::string &v, std::uint64_t lo = 0,
+      std::uint64_t hi = std::numeric_limits<std::uint64_t>::max())
+{
+    std::uint64_t n = 0;
+    const char *end = v.data() + v.size();
+    auto [ptr, ec] = std::from_chars(v.data(), end, n);
+    if (ec != std::errc{} || ptr != end || n < lo || n > hi)
+        usage(argv0);
+    return n;
+}
+
 bool
 eat(const char *arg, const char *key, std::string &value)
 {
@@ -153,9 +171,11 @@ parse(int argc, char **argv)
         } else if (eat(argv[i], "--workload", v)) {
             opt.workload = v;
         } else if (eat(argv[i], "--blocks", v)) {
-            opt.blocks = unsigned(std::stoul(v));
+            opt.blocks = unsigned(
+                count(argv[0], v, 0, std::numeric_limits<unsigned>::max()));
         } else if (eat(argv[i], "--iters", v)) {
-            opt.iters = unsigned(std::stoul(v));
+            opt.iters = unsigned(
+                count(argv[0], v, 0, std::numeric_limits<unsigned>::max()));
         } else if (eat(argv[i], "--pcu", v)) {
             if (v == "16e")
                 opt.pcu = PcuConfig::config16E();
@@ -167,11 +187,13 @@ parse(int argc, char **argv)
                 usage(argv[0]);
         } else if (eat(argv[i], "--block-engine", v)) {
             opt.block_engine = true;
-            opt.block_hot_threshold = unsigned(std::stoul(v));
+            // 0 would silently turn the engine off again.
+            opt.block_hot_threshold = std::uint32_t(count(
+                argv[0], v, 1, std::numeric_limits<std::uint32_t>::max()));
         } else if (std::strcmp(argv[i], "--block-engine") == 0) {
             opt.block_engine = true;
         } else if (eat(argv[i], "--timer", v)) {
-            opt.timer = std::stoull(v);
+            opt.timer = count(argv[0], v);
         } else if (eat(argv[i], "--trace", v)) {
             opt.trace_file = v;
         } else if (eat(argv[i], "--trace-events", v)) {
@@ -189,9 +211,9 @@ parse(int argc, char **argv)
         } else if (eat(argv[i], "--flame-out", v)) {
             opt.flame_out_file = v;
         } else if (eat(argv[i], "--metrics-interval", v)) {
-            opt.perf.metrics_interval = std::stoull(v);
+            opt.perf.metrics_interval = count(argv[0], v);
         } else if (eat(argv[i], "--profile-interval", v)) {
-            opt.perf.profile_interval = std::stoull(v);
+            opt.perf.profile_interval = count(argv[0], v);
         } else if (std::strcmp(argv[i], "--tstacks") == 0) {
             opt.tstacks = true;
         } else if (std::strcmp(argv[i], "--monitor-log") == 0) {
