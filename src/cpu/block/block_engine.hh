@@ -37,11 +37,12 @@
  *
  * The engine never observes anything architectural: all modeled
  * state — timing accesses, stats, fault delivery, per-domain
- * accounting — is produced by the executing core exactly as the
- * interpreter would. CoreBase falls back to the interpreter whenever
- * an instrumentation channel needs per-step fidelity (step hooks,
- * text tracing) and runs translated blocks op-by-op through the
- * interpreter when only event tracing is attached (see core.cc).
+ * accounting — is produced by the executing core through the commit
+ * helpers it shares with the interpreter. CoreBase runs the
+ * interpreter whenever a step hook is attached (the text trace is
+ * one; they need per-step fidelity) and runs translated blocks
+ * op-by-op through the interpreter when an event-trace filter asks
+ * for per-instruction kinds (see block_exec.cc).
  */
 
 #ifndef ISAGRID_CPU_BLOCK_BLOCK_ENGINE_HH_

@@ -2,15 +2,15 @@
  * @file
  * The block-translation executor: CoreBase's translated fast path.
  *
- * runBlocks()/execBlock() mirror stepOne() exactly, minus the work
- * the translation hoisted to block entry (fetch bounds, trusted-
- * memory fetch check, decode, the classical privilege check and the
- * ISA-Grid instruction-check memo — see cpu/block/block_engine.hh).
- * Everything modeled — timing accesses, stats, fault delivery,
- * per-domain accounting — happens per op exactly as the interpreter
- * does it, so RunResult and every stat dump are bit-identical with
- * the engine on or off (tests/test_block_equivalence.cc enforces
- * this).
+ * execBlock() keeps only what the translation hoisted to block entry
+ * (fetch bounds, trusted-memory fetch check, decode, the classical
+ * privilege check and the ISA-Grid instruction-check memo — see
+ * cpu/block/block_engine.hh), the self-modifying-code exit and
+ * chaining. Each op then commits through the same CoreBase helpers
+ * as stepOne() — fetch timing, data access, flushes, simmarks, halt,
+ * fault delivery and the retire step — so RunResult and every stat
+ * dump are bit-identical with the engine on or off
+ * (tests/test_block_equivalence.cc enforces this).
  */
 
 #include <cstdint>
@@ -52,8 +52,6 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                     std::uint64_t budget, std::uint64_t &consumed)
 {
     BlockEngine &eng = *blockEngine_;
-    const Cycle icache_hit = l1Hit(icache);
-    const Cycle dcache_hit = l1Hit(dcache);
     // Per-instruction event kinds (the checks and privilege-cache
     // probes hoisted to block entry) only exist on the interpreter
     // path: when either attached buffer's filter requests one, run
@@ -156,45 +154,16 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                                        ? nextTimer
                                        : kTimerNever;
             const bool domain0 = domain == 0;
-            const InOrderParams *scalar = scalarTiming_;
-            if (domain != curUsageDomain || !curUsage) [[unlikely]] {
-                curUsage = &domainUsage_[domain];
-                curUsageDomain = domain;
-            }
-            DomainUsage *usage = curUsage;
-
-            auto finish_op = [&](const RetireInfo &retire) {
-                ++instCount;
-                Cycle delta = scalar ? scalarRetireCost(*scalar, retire)
-                                     : timeInstruction(retire);
-                cycleCount += delta;
-                archState.cycle = cycleCount;
-                ++usage->instructions;
-                usage->cycles += delta;
+            const Addr blk_start = b->start;
+            const Addr blk_end = b->byte_end;
+            auto retire_op = [&](const RetireInfo &retire) {
                 ++consumed;
                 ++eng.stats().translated_insts;
-                if (instCount.value() >= perfNextAt_) [[unlikely]]
-                    perfTick(retire.pc, b->start);
-            };
-            // Mirrors stepOne's fault_out; returns keep-running.
-            auto fault_op = [&](FaultType fault, Addr fpc, RegVal info,
-                                RetireInfo &retire) {
-                if (deliverFault(fault, fpc, info, retire)) {
-                    finish_op(retire);
-                    return true;
-                }
-                result.reason = StopReason::UnhandledFault;
-                result.fault = fault;
-                result.fault_pc = fpc;
-                finish_op(retire);
-                return false;
+                retireInst(retire, blk_start);
             };
 
             const BlockOp *ops = b->ops.data();
             const std::size_t n = b->ops.size();
-            const Addr blk_start = b->start;
-            const Addr blk_end = b->byte_end;
-            bool self_smc = false;
             for (std::size_t i = 0; i < n; ++i) {
                 const BlockOp &op = ops[i];
                 if (archState.pc != op.pc)
@@ -209,23 +178,9 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                 retire.inst = &op.inst;
                 retire.cls = op.inst.cls;
 
-                // Fetch timing (bounds + trusted-memory checks were
-                // hoisted to block entry; the modeled accesses were
-                // not). The memoized refs skip the set scans while
-                // the fetch stream stays on one line/page — exact by
-                // revalidation, see Cache::Ref.
-                if (itlb)
-                    retire.icache_extra +=
-                        itlb->accessRef(op.pc, itlbRef_);
-                if (icache) {
-                    retire.icache_extra +=
-                        icache->accessRef(op.pc, false, ifetchRef_) -
-                        icache_hit;
-                    Addr next_line = (op.pc & ~Addr{63}) + 64;
-                    if (next_line + 64 <= mem.size())
-                        icache->accessRef(next_line, false,
-                                          ifetchNextRef_);
-                }
+                // Fetch bounds and trusted-memory checks were hoisted
+                // to block entry; the modeled accesses were not.
+                timeFetch(op.pc, retire);
 
                 // The hoisted ISA-Grid instruction check: the memo
                 // proved the outcome; account the check exactly as
@@ -233,141 +188,33 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                 pcu_.accountBlockCheck(domain0);
 
                 ExecResult res = isa_.execute(op.inst, archState);
-                if (res.fault != FaultType::None) [[unlikely]] {
-                    Addr fpc = res.fault == FaultType::SyscallTrap
-                                   ? op.pc + op.inst.length
-                                   : op.pc;
-                    return fault_op(res.fault, fpc, 0, retire);
+                FaultType fault = res.fault;
+                Addr fpc = execFaultPc(fault, op.pc, op.inst);
+                RegVal info = 0;
+                if (fault == FaultType::None) [[likely]] {
+                    ISAGRID_ASSERT(!res.csr_write,
+                                   "csr write from a translated op");
+                    retire.taken_branch = res.taken_branch;
+                    retire.serializing = res.serializing;
+                    fault = commitData(res, retire);
+                    info = res.mem_addr;
                 }
-                ISAGRID_ASSERT(!res.csr_write,
-                               "csr write from a translated op");
-                retire.taken_branch = res.taken_branch;
-                retire.serializing = res.serializing;
-
-                if (res.mem_valid) {
-                    if (!pcu_.memoryAccessAllowed(res.mem_addr,
-                                                  res.mem_size)) {
-                        return fault_op(
-                            FaultType::TrustedMemoryViolation, op.pc,
-                            res.mem_addr, retire);
-                    }
-                    // Overflow-safe, matching the interpreter: an
-                    // address near 2^64 must not wrap past the bound.
-                    if (res.mem_addr >= mem.size() ||
-                        mem.size() - res.mem_addr < res.mem_size) {
-                        return fault_op(FaultType::MemoryFault, op.pc,
-                                        res.mem_addr, retire);
-                    }
-                    if (dtlb)
-                        retire.dcache_extra +=
-                            dtlb->accessRef(res.mem_addr, dtlbRef_);
-                    if (dcache) {
-                        retire.dcache_extra +=
-                            dcache->accessRef(res.mem_addr,
-                                              res.mem_write, dataRef_) -
-                            dcache_hit;
-                    }
-                    retire.mem_addr = res.mem_addr;
-                    if (res.mem_write) {
-                        ++storeCount;
-                        retire.is_store = true;
-                        switch (res.mem_size) {
-                          case 1: mem.write8(res.mem_addr,
-                                      std::uint8_t(res.store_value));
-                                  break;
-                          case 2: mem.write16(res.mem_addr,
-                                      std::uint16_t(res.store_value));
-                                  break;
-                          case 4: mem.write32(res.mem_addr,
-                                      std::uint32_t(res.store_value));
-                                  break;
-                          case 8: mem.write64(res.mem_addr,
-                                      res.store_value);
-                                  break;
-                          default:
-                            panic("bad store size %u", res.mem_size);
-                        }
-                        // A store into this block's own bytes: finish
-                        // the op, then exit so the next entry
-                        // revalidates (exact SMC).
-                        if (res.mem_addr < blk_end &&
-                            res.mem_addr + res.mem_size > blk_start)
-                            self_smc = true;
-                    } else {
-                        ++loadCount;
-                        retire.is_load = true;
-                        RegVal value = 0;
-                        switch (res.mem_size) {
-                          case 1:
-                            value = mem.read8(res.mem_addr);
-                            if (res.mem_sign_extend)
-                                value = RegVal(std::int64_t(
-                                    std::int8_t(value)));
-                            break;
-                          case 2:
-                            value = mem.read16(res.mem_addr);
-                            if (res.mem_sign_extend)
-                                value = RegVal(std::int64_t(
-                                    std::int16_t(value)));
-                            break;
-                          case 4:
-                            value = mem.read32(res.mem_addr);
-                            if (res.mem_sign_extend)
-                                value = RegVal(std::int64_t(
-                                    std::int32_t(value)));
-                            break;
-                          case 8:
-                            value = mem.read64(res.mem_addr);
-                            break;
-                          default:
-                            panic("bad load size %u", res.mem_size);
-                        }
-                        if (res.mem_to_pc)
-                            res.next_pc = value;
-                        else
-                            archState.setReg(res.mem_reg, value);
-                    }
+                if (fault != FaultType::None) [[unlikely]] {
+                    bool keep =
+                        deliverFault(fault, fpc, info, retire, result);
+                    retire_op(retire);
+                    return keep;
                 }
-
-                if (res.flush_caches) [[unlikely]] {
-                    if (dcache)
-                        dcache->flushAll();
-                    if (icache)
-                        icache->flushAll();
-                }
-                if (res.flush_tlb) [[unlikely]] {
-                    if (itlb)
-                        itlb->flushAll();
-                    if (dtlb)
-                        dtlb->flushAll();
-                }
-                if (res.flush_tlb_page) [[unlikely]] {
-                    if (itlb)
-                        itlb->flushPage(res.flush_page_addr);
-                    if (dtlb)
-                        dtlb->flushPage(res.flush_page_addr);
-                }
-
-                if (retire.taken_branch)
-                    ++branchCount;
-
-                if (op.inst.cls == InstClass::SimMark) [[unlikely]] {
-                    simMarks.push_back({archState.reg(op.inst.rs1),
-                                        cycleCount, instCount.value()});
-                    ISAGRID_TRACE_EVENT(eventTrace, TraceKind::SimMark,
-                                        archState.reg(op.inst.rs1),
-                                        instCount.value(), 0);
-                }
-
-                if (res.halt) [[unlikely]] {
-                    result.reason = StopReason::Halted;
-                    result.halt_code = res.halt_code;
-                    finish_op(retire);
+                // A store into this block's own bytes: finish the op,
+                // then exit so the next entry revalidates (exact SMC).
+                const bool self_smc = retire.is_store &&
+                                      retire.mem_addr < blk_end &&
+                                      retire.mem_addr + res.mem_size >
+                                          blk_start;
+                bool keep = commitTail(op.inst, res, retire, result);
+                retire_op(retire);
+                if (!keep)
                     return false;
-                }
-
-                archState.pc = res.next_pc;
-                finish_op(retire);
                 if (self_smc) [[unlikely]]
                     return true;
             }

@@ -1,9 +1,7 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "isa/disasm.hh"
 #include "sim/logging.hh"
 
 namespace isagrid {
@@ -12,6 +10,7 @@ CoreBase::CoreBase(const IsaModel &isa, PhysMem &mem,
                    PrivilegeCheckUnit &pcu, CacheHierarchy *icache,
                    CacheHierarchy *dcache)
     : isa_(isa), mem(mem), pcu_(pcu), icache(icache), dcache(dcache),
+      icacheHit_(l1Hit(icache)), dcacheHit_(l1Hit(dcache)),
       statGroup("core")
 {
     isa_.initState(archState);
@@ -76,23 +75,23 @@ CoreBase::perfTick(Addr pc, Addr block_start)
 
 bool
 CoreBase::deliverFault(FaultType fault, Addr faulting_pc, RegVal info,
-                       RetireInfo &retire)
+                       RetireInfo &retire, RunResult &result)
 {
     ++faultCounters[static_cast<std::size_t>(fault)];
     ++trapCount;
-    if (traceStream) {
-        *traceStream << "           >>> " << faultName(fault)
-                     << " at " << std::hex << faulting_pc << std::dec
-                     << "\n";
-    }
     ISAGRID_TRACE_EVENT(eventTrace, TraceKind::Trap,
                         std::uint64_t(fault), faulting_pc, 0);
     Addr handler = isa_.takeTrap(archState, fault, faulting_pc, info);
     retire.trap = true;
     retire.serializing = true;
     retire.taken_branch = true;
-    if (handler == 0)
-        return false; // no handler installed: stop the run
+    if (handler == 0) {
+        // No handler installed: stop the run.
+        result.reason = StopReason::UnhandledFault;
+        result.fault = fault;
+        result.fault_pc = faulting_pc;
+        return false;
+    }
     archState.pc = handler;
     return true;
 }
@@ -106,11 +105,11 @@ CoreBase::run(std::uint64_t max_insts)
     const Cycle cycle_start = cycleCount;
     RunResult result;
     result.reason = StopReason::MaxInstructions;
-    if (blockEngine_ && !stepHook_ && !traceStream) {
-        // Step hooks and the text trace need per-step fidelity the
-        // translated fast path cannot provide; everything else
-        // (including an event-trace buffer, handled inside the block
-        // loop) keeps identical architectural behavior.
+    if (blockEngine_ && !stepHook_) {
+        // Step hooks (the text trace among them) need per-step
+        // fidelity the translated fast path cannot provide; everything
+        // else (including an event-trace buffer, handled inside the
+        // block loop) keeps identical architectural behavior.
         runBlocks(result, max_insts);
     } else {
         for (std::uint64_t i = 0; i < max_insts; ++i) {
@@ -121,24 +120,6 @@ CoreBase::run(std::uint64_t max_insts)
     result.instructions = instCount.value() - inst_start;
     result.cycles = cycleCount - cycle_start;
     return result;
-}
-
-void
-CoreBase::traceInst(const DecodedInst &inst, Addr pc,
-                    const CheckOutcome *check)
-{
-    char outcome = check ? (check->allowed ? '+' : '!') : '-';
-    char head[64];
-    std::snprintf(head, sizeof head, "%10llu d%-3llu %c %#10llx: ",
-                  (unsigned long long)cycleCount,
-                  (unsigned long long)pcu_.currentDomain(), outcome,
-                  (unsigned long long)pc);
-    *traceStream << head << disassemble(inst);
-    if (check && check->stall) {
-        *traceStream << "  ; pcu-stall "
-                     << (unsigned long long)check->stall;
-    }
-    *traceStream << "\n";
 }
 
 bool
@@ -172,34 +153,19 @@ CoreBase::stepOne(RunResult &result)
     retire.pc = pc;
     StepObservation hookObs;
     hookObs.pc = pc;
+    hookObs.cycle = cycleCount;
+    hookObs.domain = pcu_.currentDomain();
 
     auto finish = [&](bool keep_running) {
         if (stepHook_) [[unlikely]]
             stepHook_->onStep(archState, hookObs);
-        ++instCount;
-        Cycle delta = timeInstruction(retire);
-        cycleCount += delta;
-        archState.cycle = cycleCount;
-        DomainId domain = pcu_.currentDomain();
-        if (domain != curUsageDomain || !curUsage) [[unlikely]] {
-            curUsage = &domainUsage_[domain];
-            curUsageDomain = domain;
-        }
-        ++curUsage->instructions;
-        curUsage->cycles += delta;
-        if (instCount.value() >= perfNextAt_) [[unlikely]]
-            perfTick(pc, 0);
+        retireInst(retire, 0);
         return keep_running;
     };
     auto fault_out = [&](FaultType fault, Addr fpc, RegVal info) {
         hookObs.fault = fault;
-        if (deliverFault(fault, fpc, info, retire))
-            return finish(true);
-        result.reason = StopReason::UnhandledFault;
-        result.fault = fault;
-        result.fault_pc = fpc;
-        finish(false);
-        return false;
+        hookObs.fault_pc = fpc;
+        return finish(deliverFault(fault, fpc, info, retire, result));
     };
 
     // --- fetch ---
@@ -210,17 +176,7 @@ CoreBase::stepOne(RunResult &result)
     // loads and stores (Section 4.5).
     if (!pcu_.memoryAccessAllowed(pc, 1)) [[unlikely]]
         return fault_out(FaultType::TrustedMemoryViolation, pc, pc);
-    if (itlb)
-        retire.icache_extra += itlb->access(pc);
-    if (icache) {
-        retire.icache_extra += icache->access(pc, false) - l1Hit(icache);
-        // Next-line prefetcher: both prototype front ends fetch ahead,
-        // so sequential code does not pay a miss per line. The fill is
-        // modelled as fully hidden (it overlaps the demand miss above).
-        Addr next_line = (pc & ~Addr{63}) + 64;
-        if (next_line + 64 <= mem.size())
-            icache->access(next_line, false);
-    }
+    timeFetch(pc, retire);
 
     // --- decode (fast path: the decoded-instruction cache) ---
     // On a hit the byte fetch and IsaModel::decode() are skipped
@@ -268,18 +224,16 @@ CoreBase::stepOne(RunResult &result)
 
     // --- classical privilege-level check (coexists with ISA-Grid,
     // Section 4.1: either rejection raises an exception) ---
-    if (archState.mode == PrivMode::User && privileged) {
-        if (traceStream) [[unlikely]]
-            traceInst(*inst, pc, nullptr);
+    if (archState.mode == PrivMode::User && privileged)
         return fault_out(FaultType::IllegalInstruction, pc, pc);
-    }
 
     // --- ISA-Grid instruction privilege check ---
     {
         CheckOutcome chk =
             pcu_.checkInstructionAt(inst->type, pc, check_cacheable);
-        if (traceStream) [[unlikely]]
-            traceInst(*inst, pc, &chk);
+        hookObs.check = chk.allowed ? StepObservation::Check::Allowed
+                                    : StepObservation::Check::Denied;
+        hookObs.check_stall = chk.stall;
         retire.pcu_stall += chk.stall;
         if (!chk.allowed)
             return fault_out(chk.fault, pc, inst->type);
@@ -308,7 +262,10 @@ CoreBase::stepOne(RunResult &result)
 
     // --- privilege cache management ---
     if (inst->cls == InstClass::Prefetch) {
-        retire.pcu_stall += pcu_.prefetch(archState.reg(inst->rs1));
+        CheckOutcome fill = pcu_.prefetch(archState.reg(inst->rs1));
+        retire.pcu_stall += fill.stall;
+        if (!fill.allowed)
+            return fault_out(fill.fault, pc, 0);
         archState.pc = pc + inst->length;
         return finish(true);
     }
@@ -321,13 +278,8 @@ CoreBase::stepOne(RunResult &result)
 
     // --- execute ---
     ExecResult res = isa_.execute(*inst, archState);
-    if (res.fault == FaultType::SyscallTrap) {
-        // The resume point (pc past the trapping instruction) is saved,
-        // matching syscall/ecall return conventions.
-        return fault_out(FaultType::SyscallTrap, pc + inst->length, 0);
-    }
     if (res.fault != FaultType::None)
-        return fault_out(res.fault, pc, 0);
+        return fault_out(res.fault, execFaultPc(res.fault, pc, *inst), 0);
 
     retire.taken_branch = res.taken_branch;
     retire.serializing = res.serializing;
@@ -399,12 +351,8 @@ CoreBase::stepOne(RunResult &result)
                 ISAGRID_TRACE_EVENT(eventTrace, TraceKind::CsrCommit,
                                     csr_addr, newv, 0);
                 // An address-space switch invalidates the TLBs.
-                if (csr_addr == isa_.ptbrCsrAddr()) {
-                    if (itlb)
-                        itlb->flushAll();
-                    if (dtlb)
-                        dtlb->flushAll();
-                }
+                if (csr_addr == isa_.ptbrCsrAddr())
+                    flushTlbs();
             }
             if (res.csr_old_reg_valid)
                 archState.setReg(res.csr_old_reg, old);
@@ -412,111 +360,10 @@ CoreBase::stepOne(RunResult &result)
     }
 
     // --- memory access (with the trusted-memory check, Section 4.5) ---
-    if (res.mem_valid) {
-        if (!pcu_.memoryAccessAllowed(res.mem_addr, res.mem_size)) {
-            return fault_out(FaultType::TrustedMemoryViolation, pc,
-                             res.mem_addr);
-        }
-        // Overflow-safe: mem_addr near 2^64 must not wrap past the
-        // bound and reach the backing store.
-        if (res.mem_addr >= mem.size() ||
-            mem.size() - res.mem_addr < res.mem_size) {
-            return fault_out(FaultType::MemoryFault, pc, res.mem_addr);
-        }
-        if (dtlb)
-            retire.dcache_extra += dtlb->access(res.mem_addr);
-        if (dcache) {
-            retire.dcache_extra +=
-                dcache->access(res.mem_addr, res.mem_write) -
-                l1Hit(dcache);
-        }
-        retire.mem_addr = res.mem_addr;
-        if (res.mem_write) {
-            ++storeCount;
-            retire.is_store = true;
-            switch (res.mem_size) {
-              case 1: mem.write8(res.mem_addr,
-                                 std::uint8_t(res.store_value)); break;
-              case 2: mem.write16(res.mem_addr,
-                                  std::uint16_t(res.store_value)); break;
-              case 4: mem.write32(res.mem_addr,
-                                  std::uint32_t(res.store_value)); break;
-              case 8: mem.write64(res.mem_addr, res.store_value); break;
-              default:
-                panic("bad store size %u", res.mem_size);
-            }
-        } else {
-            ++loadCount;
-            retire.is_load = true;
-            RegVal value = 0;
-            switch (res.mem_size) {
-              case 1:
-                value = mem.read8(res.mem_addr);
-                if (res.mem_sign_extend)
-                    value = RegVal(std::int64_t(std::int8_t(value)));
-                break;
-              case 2:
-                value = mem.read16(res.mem_addr);
-                if (res.mem_sign_extend)
-                    value = RegVal(std::int64_t(std::int16_t(value)));
-                break;
-              case 4:
-                value = mem.read32(res.mem_addr);
-                if (res.mem_sign_extend)
-                    value = RegVal(std::int64_t(std::int32_t(value)));
-                break;
-              case 8:
-                value = mem.read64(res.mem_addr);
-                break;
-              default:
-                panic("bad load size %u", res.mem_size);
-            }
-            if (res.mem_to_pc)
-                res.next_pc = value;
-            else
-                archState.setReg(res.mem_reg, value);
-        }
-    }
-
-    if (res.flush_caches) {
-        if (dcache)
-            dcache->flushAll();
-        if (icache)
-            icache->flushAll();
-    }
-    if (res.flush_tlb) {
-        if (itlb)
-            itlb->flushAll();
-        if (dtlb)
-            dtlb->flushAll();
-    }
-    if (res.flush_tlb_page) {
-        if (itlb)
-            itlb->flushPage(res.flush_page_addr);
-        if (dtlb)
-            dtlb->flushPage(res.flush_page_addr);
-    }
-
-    if (retire.taken_branch)
-        ++branchCount;
-
-    if (inst->cls == InstClass::SimMark) {
-        simMarks.push_back({archState.reg(inst->rs1), cycleCount,
-                            instCount.value()});
-        ISAGRID_TRACE_EVENT(eventTrace, TraceKind::SimMark,
-                            archState.reg(inst->rs1), instCount.value(),
-                            0);
-    }
-
-    if (res.halt) {
-        result.reason = StopReason::Halted;
-        result.halt_code = res.halt_code;
-        finish(false);
-        return false;
-    }
-
-    archState.pc = res.next_pc;
-    return finish(true);
+    FaultType fault = commitData(res, retire);
+    if (fault != FaultType::None)
+        return fault_out(fault, pc, res.mem_addr);
+    return finish(commitTail(*inst, res, retire, result));
 }
 
 } // namespace isagrid

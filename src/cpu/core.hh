@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -30,8 +29,10 @@
 #include "mem/cache.hh"
 #include "mem/phys_mem.hh"
 #include "mem/tlb.hh"
+#include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
+#include "sim/trace.hh"
 
 namespace isagrid {
 
@@ -65,8 +66,8 @@ struct InOrderParams
  * Retire cost of the in-order scalar model. Defined here (not in
  * cpu/inorder) because the model is stateless per instruction: a core
  * that registers its params via CoreBase::scalarTiming_ lets the
- * block executor apply the formula inline instead of paying a virtual
- * timeInstruction() call per translated op. InOrderCore's
+ * shared retire step apply the formula inline instead of paying a
+ * virtual timeInstruction() call per instruction. InOrderCore's
  * timeInstruction() wraps this same function, so the two dispatch
  * paths cannot diverge.
  */
@@ -196,9 +197,10 @@ class CoreBase
      * pre-decoded threaded code with the fetch-range, classical
      * privilege and ISA-Grid instruction checks hoisted to block
      * entry. Purely a host-speed knob — architectural results, cycle
-     * counts and all modeled stats are identical either way, and the
-     * core falls back to the interpreter whenever a step hook or text
-     * trace needs per-step fidelity. An attached event-trace buffer
+     * counts and all modeled stats are identical either way (both
+     * loops commit through one shared retire path), and the core runs
+     * the interpreter whenever a step hook — the text trace is one —
+     * needs per-step fidelity. An attached event-trace buffer
      * only forces the op-by-op interpreter path when its filter
      * requests per-instruction kinds (kTraceFilterPerOp — the checks
      * and cache probes the translation hoists to block entry); any
@@ -238,16 +240,6 @@ class CoreBase
     }
 
     /**
-     * Stream an execution trace (one line per retired instruction,
-     * plus fault-delivery lines) to @p os; nullptr disables. The
-     * stream must outlive the core or be cleared first. Each line
-     * carries cycle, current domain, the ISA-Grid instruction-check
-     * outcome ('+' allowed, '!' denied, '-' rejected before the check
-     * ran), pc and disassembly.
-     */
-    void setTrace(std::ostream *os) { traceStream = os; }
-
-    /**
      * Attach an event-trace buffer (sim/trace.hh): the buffer's cycle
      * field is sampled from this core's cycle counter, and the core
      * emits trap entry/return, timer-interrupt, CSR-commit and simmark
@@ -264,10 +256,11 @@ class CoreBase
     }
 
     /**
-     * Attach a per-instruction observation hook (cpu/step_hook.hh);
-     * nullptr detaches. Like the event-trace buffer, a detached hook
-     * costs a single null compare per step — the contract checkers'
-     * instrumentation is effectively compiled out when unused.
+     * Attach a per-instruction observation hook (cpu/step_hook.hh;
+     * the text trace is cpu/text_trace.hh); nullptr detaches. Like
+     * the event-trace buffer, a detached hook costs a single null
+     * compare per step — the contract checkers' instrumentation is
+     * effectively compiled out when unused.
      */
     void setStepHook(StepHook *hook) { stepHook_ = hook; }
 
@@ -310,8 +303,9 @@ class CoreBase
     /**
      * Set by cores whose timeInstruction() is exactly
      * scalarRetireCost() over these params (the in-order model): the
-     * block executor then applies the formula inline, devirtualizing
-     * the per-op retire. Null for stateful timing models (o3).
+     * shared retire step then applies the formula inline,
+     * devirtualizing the per-instruction retire. Null for stateful
+     * timing models (o3).
      */
     const InOrderParams *scalarTiming_ = nullptr;
 
@@ -356,20 +350,201 @@ class CoreBase
     bool execBlock(TransBlock &block, RunResult &result,
                    std::uint64_t budget, std::uint64_t &consumed);
 
-    /** Deliver @p fault; returns false if no handler is installed. */
-    bool deliverFault(FaultType fault, Addr faulting_pc, RegVal info,
-                      RetireInfo &retire);
-
     /**
-     * Cold path: format one trace line (kept off the hot step loop).
-     * @p check is the ISA-Grid instruction-check outcome, or null when
-     * the instruction was rejected before that check ran.
+     * Deliver @p fault; returns false, with @p result filled, if no
+     * handler is installed.
      */
-    void traceInst(const DecodedInst &inst, Addr pc,
-                   const CheckOutcome *check);
+    bool deliverFault(FaultType fault, Addr faulting_pc, RegVal info,
+                      RetireInfo &retire, RunResult &result);
 
     /** L1 hit latency of a hierarchy (0 if null). */
     static Cycle l1Hit(CacheHierarchy *h);
+
+    // --- The commit path shared by stepOne() and execBlock() ---
+    //
+    // Each step of an instruction's commit is written once, here, so
+    // the interpreter and the block engine cannot drift apart: both
+    // time every access through the memoized refs, apply the trusted-
+    // memory and bounds checks in one order, and retire through one
+    // function.
+
+    /** Fetch timing: ITLB, icache and the next-line prefetch. */
+    void
+    timeFetch(Addr pc, RetireInfo &retire)
+    {
+        if (itlb)
+            retire.icache_extra += itlb->accessRef(pc, itlbRef_);
+        if (icache) {
+            retire.icache_extra +=
+                icache->accessRef(pc, false, ifetchRef_) - icacheHit_;
+            // Next-line prefetcher: both prototype front ends fetch
+            // ahead, so sequential code does not pay a miss per line.
+            // The fill is modelled as fully hidden (it overlaps the
+            // demand miss above).
+            Addr next_line = (pc & ~Addr{63}) + 64;
+            if (next_line + 64 <= mem.size())
+                icache->accessRef(next_line, false, ifetchNextRef_);
+        }
+    }
+
+    /** The pc an execute() fault is taken at: syscalls resume past. */
+    static Addr
+    execFaultPc(FaultType fault, Addr pc, const DecodedInst &inst)
+    {
+        return fault == FaultType::SyscallTrap ? pc + inst.length : pc;
+    }
+
+    /**
+     * The data access of an executed instruction, if any: the
+     * trusted-memory check (Section 4.5), the bounds check, DTLB and
+     * dcache timing, then the load or store. Returns the fault to
+     * deliver (with res.mem_addr as info), or FaultType::None.
+     */
+    FaultType
+    commitData(ExecResult &res, RetireInfo &retire)
+    {
+        if (!res.mem_valid)
+            return FaultType::None;
+        if (!pcu_.memoryAccessAllowed(res.mem_addr, res.mem_size))
+            return FaultType::TrustedMemoryViolation;
+        // Overflow-safe: mem_addr near 2^64 must not wrap past the
+        // bound and reach the backing store.
+        if (res.mem_addr >= mem.size() ||
+            mem.size() - res.mem_addr < res.mem_size)
+            return FaultType::MemoryFault;
+        if (dtlb)
+            retire.dcache_extra += dtlb->accessRef(res.mem_addr, dtlbRef_);
+        if (dcache) {
+            retire.dcache_extra +=
+                dcache->accessRef(res.mem_addr, res.mem_write, dataRef_) -
+                dcacheHit_;
+        }
+        retire.mem_addr = res.mem_addr;
+        if (res.mem_write) {
+            ++storeCount;
+            retire.is_store = true;
+            switch (res.mem_size) {
+              case 1: mem.write8(res.mem_addr,
+                                 std::uint8_t(res.store_value)); break;
+              case 2: mem.write16(res.mem_addr,
+                                  std::uint16_t(res.store_value)); break;
+              case 4: mem.write32(res.mem_addr,
+                                  std::uint32_t(res.store_value)); break;
+              case 8: mem.write64(res.mem_addr, res.store_value); break;
+              default:
+                panic("bad store size %u", res.mem_size);
+            }
+            return FaultType::None;
+        }
+        ++loadCount;
+        retire.is_load = true;
+        RegVal value = 0;
+        switch (res.mem_size) {
+          case 1:
+            value = mem.read8(res.mem_addr);
+            if (res.mem_sign_extend)
+                value = RegVal(std::int64_t(std::int8_t(value)));
+            break;
+          case 2:
+            value = mem.read16(res.mem_addr);
+            if (res.mem_sign_extend)
+                value = RegVal(std::int64_t(std::int16_t(value)));
+            break;
+          case 4:
+            value = mem.read32(res.mem_addr);
+            if (res.mem_sign_extend)
+                value = RegVal(std::int64_t(std::int32_t(value)));
+            break;
+          case 8:
+            value = mem.read64(res.mem_addr);
+            break;
+          default:
+            panic("bad load size %u", res.mem_size);
+        }
+        if (res.mem_to_pc)
+            res.next_pc = value;
+        else
+            archState.setReg(res.mem_reg, value);
+        return FaultType::None;
+    }
+
+    /** Invalidate both TLBs (sfence.vma, address-space switch). */
+    void
+    flushTlbs()
+    {
+        if (itlb)
+            itlb->flushAll();
+        if (dtlb)
+            dtlb->flushAll();
+    }
+
+    /**
+     * Everything after the data access: cache and TLB flushes, the
+     * branch count, simmark recording, halt, and the pc update.
+     * Returns false, with @p result filled, when the guest halted.
+     */
+    bool
+    commitTail(const DecodedInst &inst, const ExecResult &res,
+               const RetireInfo &retire, RunResult &result)
+    {
+        if (res.flush_caches) [[unlikely]] {
+            if (dcache)
+                dcache->flushAll();
+            if (icache)
+                icache->flushAll();
+        }
+        if (res.flush_tlb) [[unlikely]]
+            flushTlbs();
+        if (res.flush_tlb_page) [[unlikely]] {
+            if (itlb)
+                itlb->flushPage(res.flush_page_addr);
+            if (dtlb)
+                dtlb->flushPage(res.flush_page_addr);
+        }
+        if (retire.taken_branch)
+            ++branchCount;
+        if (inst.cls == InstClass::SimMark) [[unlikely]] {
+            simMarks.push_back({archState.reg(inst.rs1), cycleCount,
+                                instCount.value()});
+            ISAGRID_TRACE_EVENT(eventTrace, TraceKind::SimMark,
+                                archState.reg(inst.rs1),
+                                instCount.value(), 0);
+        }
+        if (res.halt) [[unlikely]] {
+            result.reason = StopReason::Halted;
+            result.halt_code = res.halt_code;
+            return false;
+        }
+        archState.pc = res.next_pc;
+        return true;
+    }
+
+    /**
+     * Retire one instruction: timing, per-domain usage and the perf
+     * tick. @p block_start is the entry pc of the translated block the
+     * instruction ran in (0 on the interpreter), for profile samples.
+     */
+    void
+    retireInst(const RetireInfo &retire, Addr block_start)
+    {
+        ++instCount;
+        // The in-order model is stateless per instruction: apply its
+        // formula inline instead of a virtual timeInstruction() call.
+        Cycle delta = scalarTiming_
+                          ? scalarRetireCost(*scalarTiming_, retire)
+                          : timeInstruction(retire);
+        cycleCount += delta;
+        archState.cycle = cycleCount;
+        DomainId domain = pcu_.currentDomain();
+        if (domain != curUsageDomain || !curUsage) [[unlikely]] {
+            curUsage = &domainUsage_[domain];
+            curUsageDomain = domain;
+        }
+        ++curUsage->instructions;
+        curUsage->cycles += delta;
+        if (instCount.value() >= perfNextAt_) [[unlikely]]
+            perfTick(retire.pc, block_start);
+    }
 
     /**
      * Cold path of the attachPerf() hook: builds the sample (pc,
@@ -380,18 +555,22 @@ class CoreBase
     void perfTick(Addr pc, Addr block_start);
 
     /**
-     * Memoized line/slot refs for the block executor's modeled
-     * accesses (mem/cache.hh Cache::Ref, mem/tlb.hh Tlb::Ref). Pure
-     * fast-path state: each use revalidates against the model, so a
-     * stale ref costs one set scan, never a wrong outcome. The TLB
-     * refs are reset in setTlbs() because the TLB objects themselves
-     * may be swapped; the cache hierarchies are fixed at construction.
+     * Memoized line/slot refs for every modeled fetch and data access
+     * of both loops (mem/cache.hh Cache::Ref, mem/tlb.hh Tlb::Ref).
+     * Pure fast-path state: each use revalidates against the model, so
+     * a stale ref costs one set scan, never a wrong outcome
+     * (CacheGeometry.RefPathMatchesSetScan). The TLB refs are reset in
+     * setTlbs() because the TLB objects themselves may be swapped; the
+     * cache hierarchies are fixed at construction.
      */
     Cache::Ref ifetchRef_;
     Cache::Ref ifetchNextRef_;
     Cache::Ref dataRef_;
     Tlb::Ref itlbRef_;
     Tlb::Ref dtlbRef_;
+    /** L1 hit latencies, charged as part of the base CPI. */
+    const Cycle icacheHit_;
+    const Cycle dcacheHit_;
 
     ArchState archState;
     Cycle cycleCount = 0;
@@ -418,7 +597,6 @@ class CoreBase
     std::unique_ptr<DecodeCache> decodeCache_;
     std::unique_ptr<BlockEngine> blockEngine_;
     StatGroup statGroup;
-    std::ostream *traceStream = nullptr;
     TraceBuffer *eventTrace = nullptr;
     StepHook *stepHook_ = nullptr;
     PerfMonitor *perfMonitor_ = nullptr;

@@ -100,38 +100,40 @@ PrivilegeCheckUnit::fillLatency(Addr addr)
     return config_.fallback_fill_latency;
 }
 
-std::uint64_t
+bool
 PrivilegeCheckUnit::cachedWord(PcuCache<std::uint64_t> &cache, Addr addr,
-                               std::uint64_t tag, Cycle &stall)
+                               std::uint64_t tag, std::uint64_t &word,
+                               Cycle &stall)
 {
-    std::uint64_t word = 0;
     if (cache.numEntries() > 0 && cache.lookup(tag, word)) {
         accountDomainProbe(true);
-        return word;
+        return true;
     }
     accountDomainProbe(false);
-    word = mem.read64(addr);
     stall += fillLatency(addr);
+    if (!onBus(addr, 8))
+        return false;
+    word = mem.read64(addr);
     if (cache.numEntries() > 0)
         cache.fill(tag, word);
-    return word;
+    return true;
 }
 
-Cycle
-PrivilegeCheckUnit::refillBypass()
+bool
+PrivilegeCheckUnit::refillBypass(Cycle &stall)
 {
-    Cycle stall = 0;
     DomainId domain = currentDomain();
     Addr base = gridRegs[idx(GridReg::InstCap)];
     for (std::uint32_t g = 0; g < hpt.numInstGroups(); ++g) {
         Addr addr = hpt.instWordAddr(base, domain, g);
-        bypassBitmap[g] =
-            cachedWord(hptCacheFor(HptKind::InstBitmap), addr,
-                       hptTag(HptKind::InstBitmap, domain, g), stall);
+        if (!cachedWord(hptCacheFor(HptKind::InstBitmap), addr,
+                        hptTag(HptKind::InstBitmap, domain, g),
+                        bypassBitmap[g], stall))
+            return false;
     }
     bypassValid = true;
     ++bypassEpoch_;
-    return stall;
+    return true;
 }
 
 bool
@@ -161,10 +163,11 @@ PrivilegeCheckUnit::checkInstruction(InstTypeId type)
     }
     ISAGRID_ASSERT(type < hpt.instTypes(), "inst type %u", type);
     std::uint32_t group = HptLayout::instGroupOf(type);
-    std::uint64_t word;
+    std::uint64_t word = 0;
+    bool read = true;
     if (config_.bypass_enabled) {
         if (!bypassValid)
-            out.stall += refillBypass();
+            read = refillBypass(out.stall);
         else
             ++bypassCheckCount;
         word = bypassBitmap[group];
@@ -172,11 +175,14 @@ PrivilegeCheckUnit::checkInstruction(InstTypeId type)
         DomainId domain = currentDomain();
         Addr addr = hpt.instWordAddr(gridRegs[idx(GridReg::InstCap)],
                                      domain, group);
-        word = cachedWord(hptCacheFor(HptKind::InstBitmap), addr,
+        read = cachedWord(hptCacheFor(HptKind::InstBitmap), addr,
                           hptTag(HptKind::InstBitmap, domain, group),
-                          out.stall);
+                          word, out.stall);
     }
-    if (word & (1ull << HptLayout::instBitOf(type))) {
+    if (!read) {
+        out.fault = FaultType::MemoryFault;
+        ++faultCount;
+    } else if (word & (1ull << HptLayout::instBitOf(type))) {
         out.allowed = true;
     } else {
         out.fault = FaultType::InstPrivilege;
@@ -240,11 +246,13 @@ PrivilegeCheckUnit::checkCsrReadImpl(std::uint32_t csr_addr)
     std::uint32_t group = HptLayout::regGroupOf(index);
     Addr addr = hpt.regWordAddr(gridRegs[idx(GridReg::CsrCap)], domain,
                                 group);
-    std::uint64_t word =
-        cachedWord(hptCacheFor(HptKind::RegBitmap), addr,
-                   hptTag(HptKind::RegBitmap, domain, group),
-                   out.stall);
-    if (word & (1ull << HptLayout::regReadBit(index))) {
+    std::uint64_t word = 0;
+    if (!cachedWord(hptCacheFor(HptKind::RegBitmap), addr,
+                    hptTag(HptKind::RegBitmap, domain, group), word,
+                    out.stall)) {
+        out.fault = FaultType::MemoryFault;
+        ++faultCount;
+    } else if (word & (1ull << HptLayout::regReadBit(index))) {
         out.allowed = true;
     } else {
         out.fault = FaultType::CsrPrivilege;
@@ -282,10 +290,14 @@ PrivilegeCheckUnit::checkCsrWriteImpl(std::uint32_t csr_addr,
     std::uint32_t group = HptLayout::regGroupOf(index);
     Addr addr = hpt.regWordAddr(gridRegs[idx(GridReg::CsrCap)], domain,
                                 group);
-    std::uint64_t word =
-        cachedWord(hptCacheFor(HptKind::RegBitmap), addr,
-                   hptTag(HptKind::RegBitmap, domain, group),
-                   out.stall);
+    std::uint64_t word = 0;
+    if (!cachedWord(hptCacheFor(HptKind::RegBitmap), addr,
+                    hptTag(HptKind::RegBitmap, domain, group), word,
+                    out.stall)) {
+        out.fault = FaultType::MemoryFault;
+        ++faultCount;
+        return out;
+    }
     if (word & (1ull << HptLayout::regWriteBit(index))) {
         out.allowed = true; // full write privilege
         return out;
@@ -301,11 +313,13 @@ PrivilegeCheckUnit::checkCsrWriteImpl(std::uint32_t csr_addr,
     ++maskChecks;
     Addr mask_addr = hpt.maskAddr(gridRegs[idx(GridReg::CsrBitMask)],
                                   domain, mask_index);
-    std::uint64_t mask =
-        cachedWord(hptCacheFor(HptKind::BitMask), mask_addr,
-                   hptTag(HptKind::BitMask, domain, mask_index),
-                   out.stall);
-    if (HptLayout::maskPermits(old_value, new_value, mask)) {
+    std::uint64_t mask = 0;
+    if (!cachedWord(hptCacheFor(HptKind::BitMask), mask_addr,
+                    hptTag(HptKind::BitMask, domain, mask_index), mask,
+                    out.stall)) {
+        out.fault = FaultType::MemoryFault;
+        ++faultCount;
+    } else if (HptLayout::maskPermits(old_value, new_value, mask)) {
         out.allowed = true;
     } else {
         out.fault = FaultType::CsrMaskViolation;
@@ -358,8 +372,14 @@ PrivilegeCheckUnit::gateCallImpl(GateId gate, Addr gate_pc, bool extended,
     bool hit = sgtCache_.numEntries() > 0 && sgtCache_.lookup(gate, entry);
     accountDomainProbe(hit);
     if (!hit) {
+        Addr entry_addr = sgtEntryAddr(table, gate);
+        out.stall += fillLatency(entry_addr);
+        if (!onBus(entry_addr, SgtEntry::sizeBytes)) {
+            out.fault = FaultType::MemoryFault;
+            ++faultCount;
+            return out;
+        }
         entry = sgtRead(mem, table, gate);
-        out.stall += fillLatency(sgtEntryAddr(table, gate));
         if (sgtCache_.numEntries() > 0)
             sgtCache_.fill(gate, entry);
     }
@@ -390,9 +410,14 @@ PrivilegeCheckUnit::gateCallImpl(GateId gate, Addr gate_pc, bool extended,
             ++faultCount;
             return out;
         }
+        out.stall += fillLatency(sp);
+        if (!onBus(sp, 16)) {
+            out.fault = FaultType::MemoryFault;
+            ++faultCount;
+            return out;
+        }
         mem.write64(sp, return_pc);
         mem.write64(sp + 8, currentDomain());
-        out.stall += fillLatency(sp);
         gridRegs[idx(GridReg::Hcsp)] = sp + 16;
         ++extendedCallCount;
         ISAGRID_TRACE_EVENT(trace_, TraceKind::StackPush, sp + 16,
@@ -427,9 +452,14 @@ PrivilegeCheckUnit::gateReturnImpl()
         return out;
     }
     sp -= 16;
+    out.stall += fillLatency(sp);
+    if (!onBus(sp, 16)) {
+        out.fault = FaultType::MemoryFault;
+        ++faultCount;
+        return out;
+    }
     Addr return_pc = mem.read64(sp);
     DomainId return_domain = mem.read64(sp + 8);
-    out.stall += fillLatency(sp);
     // hcrets may never re-enter domain-0 (Section 4.4): domain-0 owns
     // every privilege and an attacker-controlled return would otherwise
     // land there with a non-registered destination.
@@ -455,24 +485,39 @@ PrivilegeCheckUnit::gateReturnImpl()
     return out;
 }
 
-Cycle
+CheckOutcome
 PrivilegeCheckUnit::prefetch(std::uint64_t csr_selector)
 {
     // Prefetch fills are issued at low priority (Section 4.3): they do
     // not stall the pipeline, so the cost returned is zero; the fills
-    // themselves are visible in the cache statistics.
+    // themselves are visible in the cache statistics. A fill off the
+    // bus is the exception: it faults precisely, charged one fill.
+    CheckOutcome out;
+    out.allowed = true;
     DomainId domain = currentDomain();
     Addr reg_base = gridRegs[idx(GridReg::CsrCap)];
     Addr mask_base = gridRegs[idx(GridReg::CsrBitMask)];
 
+    auto fill = [&](PcuCache<std::uint64_t> &cache, std::uint64_t tag,
+                    Addr addr) {
+        if (!out.allowed)
+            return;
+        if (!onBus(addr, 8)) {
+            out.allowed = false;
+            out.fault = FaultType::MemoryFault;
+            out.stall += fillLatency(addr);
+            ++faultCount;
+            return;
+        }
+        cache.fill(tag, mem.read64(addr));
+        ++prefetchFills;
+    };
     auto fill_reg_group = [&](std::uint32_t group) {
         auto &cache = hptCacheFor(HptKind::RegBitmap);
         std::uint64_t tag = hptTag(HptKind::RegBitmap, domain, group);
         if (cache.numEntries() == 0 || cache.contains(tag))
             return;
-        Addr addr = hpt.regWordAddr(reg_base, domain, group);
-        cache.fill(tag, mem.read64(addr));
-        ++prefetchFills;
+        fill(cache, tag, hpt.regWordAddr(reg_base, domain, group));
     };
     auto fill_mask = [&](CsrIndex mask_index) {
         auto &cache = hptCacheFor(HptKind::BitMask);
@@ -480,9 +525,7 @@ PrivilegeCheckUnit::prefetch(std::uint64_t csr_selector)
                                    mask_index);
         if (cache.numEntries() == 0 || cache.contains(tag))
             return;
-        Addr addr = hpt.maskAddr(mask_base, domain, mask_index);
-        cache.fill(tag, mem.read64(addr));
-        ++prefetchFills;
+        fill(cache, tag, hpt.maskAddr(mask_base, domain, mask_index));
     };
 
     if (csr_selector == 0) {
@@ -490,7 +533,7 @@ PrivilegeCheckUnit::prefetch(std::uint64_t csr_selector)
             fill_reg_group(g);
         for (CsrIndex m = 0; m < hpt.numMaskEntries(); ++m)
             fill_mask(m);
-        return 0;
+        return out;
     }
     auto csr_addr = static_cast<std::uint32_t>(csr_selector);
     CsrIndex index = isa_.csrBitmapIndex(csr_addr);
@@ -499,7 +542,7 @@ PrivilegeCheckUnit::prefetch(std::uint64_t csr_selector)
     CsrIndex mask_index = isa_.csrMaskIndex(csr_addr);
     if (mask_index != invalidCsrIndex)
         fill_mask(mask_index);
-    return 0;
+    return out;
 }
 
 void
@@ -594,7 +637,7 @@ PrivilegeCheckUnit::trustedStackFrames(PerfFrame *out,
     const RegVal sp = gridRegs[idx(GridReg::Hcsp)];
     // An unconfigured or corrupt stack yields no chain rather than a
     // bogus one: frames are 16 bytes and must all lie inside memory.
-    if (sp <= base || (sp - base) % 16 != 0 || sp > mem.size())
+    if (sp <= base || (sp - base) % 16 != 0 || !onBus(base, sp - base))
         return 0;
     std::size_t frames = static_cast<std::size_t>((sp - base) / 16);
     std::size_t first = frames > max ? frames - max : 0;

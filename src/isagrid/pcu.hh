@@ -170,8 +170,12 @@ class PrivilegeCheckUnit
 
     // --- domain privilege cache management (Section 4.3 / Table 2) ---
 
-    /** pfch: pre-fill CSR bitmap/mask entries (0 selects all CSRs). */
-    Cycle prefetch(std::uint64_t csr_selector);
+    /**
+     * pfch: pre-fill CSR bitmap/mask entries (0 selects all CSRs).
+     * Allowed with no stall unless a fill reads outside physical
+     * memory (MemoryFault, charged one fill).
+     */
+    CheckOutcome prefetch(std::uint64_t csr_selector);
 
     /** pflh: invalidate privilege-cache buffers. */
     void flushBuffers(PcuBuffer buffer);
@@ -362,9 +366,26 @@ class PrivilegeCheckUnit
 
     Cycle fillLatency(Addr addr);
 
-    /** Fetch one HPT word through a privilege cache. */
-    std::uint64_t cachedWord(PcuCache<std::uint64_t> &cache, Addr addr,
-                             std::uint64_t tag, Cycle &stall);
+    /**
+     * Does [addr, addr + size) lie inside physical memory? The table
+     * bases and the trusted-stack pointer are guest-writable grid
+     * registers, so every PCU bus access is range-checked: one that
+     * is not raises MemoryFault (charged like a fill, domain
+     * unchanged) instead of reaching the backing store.
+     */
+    bool
+    onBus(Addr addr, std::uint64_t size) const
+    {
+        return addr < mem.size() && mem.size() - addr >= size;
+    }
+
+    /**
+     * Fetch one HPT word through a privilege cache; false when the
+     * word lies outside physical memory (the caller raises
+     * MemoryFault).
+     */
+    bool cachedWord(PcuCache<std::uint64_t> &cache, Addr addr,
+                    std::uint64_t tag, std::uint64_t &word, Cycle &stall);
 
     /**
      * Attribute one privilege-cache probe to the current domain (see
@@ -388,8 +409,11 @@ class PrivilegeCheckUnit
             ++curDomainCounts->misses;
     }
 
-    /** Refill the instruction-privilege bypass register. */
-    Cycle refillBypass();
+    /**
+     * Refill the instruction-privilege bypass register; false (the
+     * register stays invalid) when an HPT word is off the bus.
+     */
+    bool refillBypass(Cycle &stall);
 
     void switchDomain(DomainId dest);
 

@@ -20,9 +20,9 @@ PrivilegeSet::PrivilegeSet(const IsaModel &isa, const PhysMem &mem,
 RegVal
 PrivilegeSet::word(Addr addr) const
 {
-    // Out-of-memory table addresses read as zero (deny), matching the
-    // PCU and the static analyses.
-    if (addr + 8 > mem_.size())
+    // Out-of-memory table addresses read as zero (deny), like the
+    // static analyses; the PCU refuses the same walk with MemoryFault.
+    if (addr >= mem_.size() || mem_.size() - addr < 8)
         return 0;
     return mem_.read64(addr);
 }

@@ -51,8 +51,8 @@ class Cache
 
     /**
      * A memoized reference to the line a previous access() hit or
-     * filled, letting a hot caller (the block engine's execution
-     * loop) skip the set scan when it re-touches the same line.
+     * filled, letting a hot caller (the core's fetch and data
+     * timing) skip the set scan when it re-touches the same line.
      *
      * refHit() is *exact*, not approximate: it revalidates the full
      * line identity (address, residency, tag) — precisely access()'s

@@ -106,8 +106,9 @@ class ConstTracker
 /**
  * Reads the HPT and SGT from guest memory through the snapshot's base
  * registers, exactly as the PCU would on a privilege-cache miss.
- * Out-of-memory table addresses read as zero (deny): the structural
- * checks report the broken base register separately.
+ * Out-of-memory table addresses read as zero (deny; the PCU raises
+ * MemoryFault on them): the structural checks report the broken base
+ * register separately.
  */
 class PolicyView
 {

@@ -45,6 +45,35 @@ minimizePolicy(const IsaModel &isa, const PhysMem &mem,
             {sev, std::move(check), d, addr, std::move(msg)});
     };
 
+    // The table bases are guest-writable grid registers. A table
+    // outside physical memory reads as deny-all here and faults every
+    // PCU walk at run time; applyMinimizedPolicy() cannot rewrite it.
+    const HptLayout layout(isa.numInstTypes(), isa.numControlledCsrs(),
+                           isa.numMaskableCsrs());
+    const struct
+    {
+        const char *name;
+        Addr base;
+        std::uint64_t bytes;
+    } tables[] = {
+        {"instruction bitmaps", snapshot.reg(GridReg::InstCap),
+         layout.instStride() * num_domains},
+        {"register bitmaps", snapshot.reg(GridReg::CsrCap),
+         layout.regStride() * num_domains},
+        {"bit-mask arrays", snapshot.reg(GridReg::CsrBitMask),
+         layout.maskStride() * num_domains},
+    };
+    for (const auto &t : tables) {
+        if (num_domains > 1 &&
+            (t.base >= mem.size() || mem.size() - t.base < t.bytes)) {
+            addFinding(Severity::Violation, "table-outside-memory", 0,
+                       t.base,
+                       std::string(t.name) + " [" + hexAddr(t.base) +
+                           ", " + hexAddr(t.base + t.bytes) +
+                           ") not contained in physical memory");
+        }
+    }
+
     for (DomainId d = 1; d < num_domains; ++d) {
         auto it = inference.needs().find(d);
         const DomainNeed &need =
@@ -218,6 +247,12 @@ applyMinimizedPolicy(const IsaModel &isa, PhysMem &mem,
     Addr inst_base = snapshot.reg(GridReg::InstCap);
     Addr reg_base = snapshot.reg(GridReg::CsrCap);
     Addr mask_base = snapshot.reg(GridReg::CsrBitMask);
+    // Words off the bus stay unwritten (minimizePolicy reported them
+    // as table-outside-memory).
+    auto put = [&mem](Addr addr, RegVal word) {
+        if (addr < mem.size() && mem.size() - addr >= 8)
+            mem.write64(addr, word);
+    };
 
     for (DomainId d = 1; d < result.domains.size(); ++d) {
         const DomainPolicy &pol = result.domains[d];
@@ -228,7 +263,7 @@ applyMinimizedPolicy(const IsaModel &isa, PhysMem &mem,
                 if (t < pol.inst.size() && pol.inst[t])
                     word |= RegVal{1} << b;
             }
-            mem.write64(layout.instWordAddr(inst_base, d, g), word);
+            put(layout.instWordAddr(inst_base, d, g), word);
         }
         for (std::uint32_t g = 0; g < layout.numRegGroups(); ++g) {
             RegVal word = 0;
@@ -241,11 +276,10 @@ applyMinimizedPolicy(const IsaModel &isa, PhysMem &mem,
                 if (pol.csr_write[i])
                     word |= RegVal{1} << HptLayout::regWriteBit(i);
             }
-            mem.write64(layout.regWordAddr(reg_base, d, g), word);
+            put(layout.regWordAddr(reg_base, d, g), word);
         }
         for (CsrIndex mi = 0; mi < pol.masks.size(); ++mi)
-            mem.write64(layout.maskAddr(mask_base, d, mi),
-                        pol.masks[mi]);
+            put(layout.maskAddr(mask_base, d, mi), pol.masks[mi]);
     }
     if (pcu)
         pcu->flushBuffers(PcuBuffer::All);

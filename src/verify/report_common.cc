@@ -1,21 +1,8 @@
 #include "verify/report_common.hh"
 
-#include <cstring>
-
 #include "verify/verify.hh"
 
 namespace isagrid {
-
-bool
-eatOption(const char *arg, const char *key, std::string &value)
-{
-    std::size_t len = std::strlen(key);
-    if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-        value = arg + len + 1;
-        return true;
-    }
-    return false;
-}
 
 bool
 parseFailOn(const std::string &value, bool allow_lint, Severity &out)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Report and CLI plumbing shared by the static-analysis tools.
+ * Report plumbing shared by the static-analysis tools.
  *
  * isagrid-verify, isagrid-mc, isagrid-contract and isagrid-xscan all
  * speak the same report dialect: a `--fail-on=SEVERITY` exit
- * threshold, `--key=value` option parsing, and a JSON "summary"
+ * threshold and a JSON "summary"
  * object whose field order downstream consumers (and the golden-file
  * tests) depend on. Each tool used to carry its own copy; this header
  * is the single definition, so the dialects cannot drift apart.
@@ -22,13 +22,6 @@
 namespace isagrid {
 
 enum class Severity : std::uint8_t;
-
-/**
- * Match a `--key=value` command-line argument. Returns true and
- * stores the value when @p arg starts with @p key immediately
- * followed by '='.
- */
-bool eatOption(const char *arg, const char *key, std::string &value);
 
 /**
  * Parse a `--fail-on=` severity threshold. Accepts "violation" and

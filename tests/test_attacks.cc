@@ -14,14 +14,35 @@ class Attacks : public ::testing::TestWithParam<std::tuple<bool, int>>
 {
 };
 
+namespace {
+
+/** (is_x86, index) for every scenario of both ISAs — no empty slots. */
+std::vector<std::tuple<bool, int>>
+allScenarios()
+{
+    std::vector<std::tuple<bool, int>> params;
+    for (bool is_x86 : {false, true}) {
+        for (int i = 0; i < int(attackScenarios(is_x86).size()); ++i)
+            params.emplace_back(is_x86, i);
+    }
+    return params;
+}
+
+} // namespace
+
+TEST(AttackTable, ScenarioCountsPerIsa)
+{
+    // Adding a scenario must be a visible change to this table.
+    EXPECT_EQ(attackScenarios(false).size(), 10u);
+    EXPECT_EQ(attackScenarios(true).size(), 17u);
+}
+
 TEST_P(Attacks, BlockedWithIsaGridSucceedsNatively)
 {
     bool is_x86 = std::get<0>(GetParam());
     int index = std::get<1>(GetParam());
     auto scenarios = attackScenarios(is_x86);
-    if (index >= int(scenarios.size()))
-        GTEST_SKIP() << "no such scenario for this ISA";
-    const AttackScenario &s = scenarios[index];
+    const AttackScenario &s = scenarios.at(index);
 
     AttackOutcome guarded = runAttack(s, is_x86, true);
     EXPECT_TRUE(guarded.blocked)
@@ -37,21 +58,14 @@ TEST_P(Attacks, BlockedWithIsaGridSucceedsNatively)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Table1, Attacks,
-    ::testing::Combine(::testing::Bool(), ::testing::Range(0, 17)),
+    Table1, Attacks, ::testing::ValuesIn(allScenarios()),
     [](const auto &info) {
         bool is_x86 = std::get<0>(info.param);
         int index = std::get<1>(info.param);
         auto scenarios = attackScenarios(is_x86);
         std::string name = is_x86 ? "x86_" : "riscv_";
-        if (index < int(scenarios.size())) {
-            for (char c : scenarios[index].name) {
-                name += std::isalnum(static_cast<unsigned char>(c))
-                            ? c : '_';
-            }
-        } else {
-            name += "skip" + std::to_string(index);
-        }
+        for (char c : scenarios.at(index).name)
+            name += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
         return name;
     });
 

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 #include "cpu/machine.hh"
+#include "cpu/text_trace.hh"
 #include "isa/riscv/assembler.hh"
 #include "isa/riscv/opcodes.hh"
 #include "isa/x86/assembler.hh"
@@ -350,14 +353,15 @@ TEST(CoreTrace, TraceStreamRecordsExecution)
 {
     auto m = Machine::rocket();
     std::ostringstream trace;
-    m->core().setTrace(&trace);
+    TextTrace tracer(trace);
+    m->core().setStepHook(&tracer);
     runRiscv(*m, [](riscv::RiscvAsm &a) {
         a.li(5, 7);
         a.addi(5, 5, 1);
         a.csrw(riscv::CSR_SSCRATCH, 5);
         a.halt(5);
     });
-    m->core().setTrace(nullptr);
+    m->core().setStepHook(nullptr);
     std::string out = trace.str();
     EXPECT_NE(out.find("addi"), std::string::npos);
     EXPECT_NE(out.find("csrrw"), std::string::npos);
@@ -370,14 +374,181 @@ TEST(CoreTrace, FaultsAppearInTrace)
 {
     auto m = Machine::gem5x86();
     std::ostringstream trace;
-    m->core().setTrace(&trace);
+    TextTrace tracer(trace);
+    m->core().setStepHook(&tracer);
     runX86(*m, [](x86::X86Asm &a) {
         a.rawBytes({0xff, 0xff, 0xff}); // undecodable
     });
-    m->core().setTrace(nullptr);
+    m->core().setStepHook(nullptr);
     EXPECT_NE(trace.str().find(">>> illegal-instruction"),
               std::string::npos);
 }
+
+namespace {
+
+/** One traced run of a fresh machine, appended to @p os. */
+void
+traceSection(std::ostream &os, bool x86,
+             const std::function<Addr(Machine &)> &load)
+{
+    auto m = x86 ? Machine::gem5x86() : Machine::rocket();
+    Addr entry = load(*m);
+    TextTrace tracer(os);
+    m->core().setStepHook(&tracer);
+    m->run(entry, 1000);
+    m->core().setStepHook(nullptr);
+}
+
+/**
+ * Every line shape of the text trace on one ISA: a gate (its domain
+ * column is the domain before the switch), the first check in a
+ * fresh domain (`+` with a `; pcu-stall N` suffix), an ISA-Grid
+ * denial (`!`), a classical user-mode rejection (`-`), a system call
+ * (`>>> syscall` at the resume pc) and decode and fetch faults (a
+ * `>>>` line with no instruction line).
+ */
+std::string
+goldenTrace(bool x86)
+{
+    std::ostringstream os;
+    // Gate into a baseline domain, which lacks the sensitive types.
+    traceSection(os, x86, [x86](Machine &m) -> Addr {
+        DomainId d1 = m.domains().createBaselineDomain();
+        Addr gate_pc, dest;
+        if (x86) {
+            x86::X86Asm a(0x1000);
+            auto target = a.newLabel();
+            a.movImm(x86::RBX, 0);
+            gate_pc = a.here();
+            a.hccall(x86::RBX);
+            a.bind(target);
+            a.movImm(x86::RAX, 5);
+            a.addi(x86::RAX, 1);
+            a.wbinvd(); // denied in d1
+            a.halt(x86::RAX);
+            a.finalize();
+            dest = a.labelAddr(target);
+            a.loadInto(m.mem());
+        } else {
+            riscv::RiscvAsm a(0x1000);
+            auto target = a.newLabel();
+            a.li(10, 0);
+            gate_pc = a.here();
+            a.hccall(10);
+            a.bind(target);
+            a.li(5, 5);
+            a.addi(5, 5, 1);
+            a.sfenceVma(); // denied in d1
+            a.halt(5);
+            a.finalize();
+            dest = a.labelAddr(target);
+            a.loadInto(m.mem());
+        }
+        m.domains().registerGate(gate_pc, dest, d1);
+        m.domains().publish();
+        return 0x1000;
+    });
+    // A privileged instruction from user mode.
+    traceSection(os, x86, [x86](Machine &m) -> Addr {
+        if (x86) {
+            x86::X86Asm a(0x1000);
+            auto setup = a.newLabel();
+            a.jmp(setup);
+            Addr user = a.here();
+            a.movToCr(3, x86::RAX);
+            a.halt(x86::RAX);
+            a.bind(setup);
+            a.movImm(x86::RAX, 0);
+            a.movImm(x86::RCX, x86::CSR_TRAP_MODE);
+            a.wrmsr();
+            a.movImm(x86::RAX, user);
+            a.movImm(x86::RCX, x86::CSR_TRAP_RIP);
+            a.wrmsr();
+            a.iretq();
+            a.loadInto(m.mem());
+        } else {
+            riscv::RiscvAsm a(0x1000);
+            a.li(5, 0x1000 + 6 * 4); // the sfence.vma below
+            a.csrw(riscv::CSR_SEPC, 5);
+            a.li(5, riscv::SSTATUS_SPP);
+            a.csrrc(0, riscv::CSR_SSTATUS, 5);
+            a.sret();
+            a.sfenceVma(); // user mode: classical rejection
+            a.halt(0);
+            a.loadInto(m.mem());
+        }
+        return 0x1000;
+    });
+    // A system call with no handler installed.
+    traceSection(os, x86, [x86](Machine &m) -> Addr {
+        if (x86) {
+            x86::X86Asm a(0x1000);
+            a.movImm(x86::RAX, 1);
+            a.syscall();
+            a.halt(x86::RAX);
+            a.loadInto(m.mem());
+        } else {
+            riscv::RiscvAsm a(0x1000);
+            a.li(17, 1);
+            a.ecall();
+            a.halt(0);
+            a.loadInto(m.mem());
+        }
+        return 0x1000;
+    });
+    // A decode fault (on x86 after an indirect jump to zero bytes),
+    // then a fetch past the end of memory.
+    traceSection(os, x86, [x86](Machine &m) -> Addr {
+        if (x86) {
+            x86::X86Asm a(0x1000);
+            a.rawBytes({0xff, 0xff, 0xff});
+            a.loadInto(m.mem());
+        } else {
+            riscv::RiscvAsm a(0x1000);
+            a.raw32(0);
+            a.loadInto(m.mem());
+        }
+        return 0x1000;
+    });
+    traceSection(os, x86, [](Machine &m) -> Addr {
+        return m.mem().size() + 0x1000;
+    });
+    return os.str();
+}
+
+class CoreTraceGolden : public ::testing::TestWithParam<bool>
+{
+};
+
+} // namespace
+
+TEST_P(CoreTraceGolden, MatchesCommittedTrace)
+{
+    bool x86 = GetParam();
+    std::string path = std::string(TEST_DATA_DIR) + "/core_trace_" +
+                       (x86 ? "x86" : "riscv") + ".golden.txt";
+    std::string trace = goldenTrace(x86);
+    if (std::getenv("ISAGRID_REGEN_GOLDEN")) {
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << trace;
+        GTEST_SKIP() << "golden regenerated: " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing golden " << path
+                    << " (run once with ISAGRID_REGEN_GOLDEN=1)";
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(trace, golden.str())
+        << "text trace drifted from " << path
+        << "; regenerate with ISAGRID_REGEN_GOLDEN=1 only for an "
+        << "intended format change";
+}
+
+INSTANTIATE_TEST_SUITE_P(BothIsas, CoreTraceGolden, ::testing::Bool(),
+                         [](const auto &info) {
+                             return info.param ? "x86" : "riscv";
+                         });
 
 TEST(CoreTlb, AddressSpaceSwitchFlushesAndRefills)
 {

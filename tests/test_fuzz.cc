@@ -294,6 +294,47 @@ TEST_P(FuzzBothIsas, WildAddressAccessFaultsInsteadOfCrashing)
     }
 }
 
+TEST_P(FuzzBothIsas, OffBusGridRegisterFaultsInsteadOfCrashing)
+{
+    // Regression: a guest-written inst-cap pointing past physical
+    // memory. Every PCU table walk must raise MemoryFault identically
+    // on both engines, and the oracles must run to completion with
+    // the layout reported as a finding. Pre-fix the PCU's table read
+    // (and minpriv's policy write-back) panicked the host.
+    bool x86 = GetParam();
+    std::string path = corpusDir() + "/" + (x86 ? "x86" : "riscv") +
+                       "-masked-write-type-revoked.art";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing corpus file " << path;
+    std::stringstream buf;
+    buf << in.rdbuf();
+    FuzzArtifact artifact;
+    std::string error;
+    ASSERT_TRUE(FuzzArtifact::parse(buf.str(), artifact, error)) << error;
+    artifact.snapshot.regs[static_cast<std::size_t>(GridReg::InstCap)] =
+        0x7ffffffff000;
+
+    RunResult runs[2];
+    for (bool block_engine : {false, true}) {
+        std::unique_ptr<Machine> machine = artifact.restore(block_engine);
+        artifact.position(*machine);
+        runs[block_engine] = machine->core().run(2000);
+        EXPECT_GT(machine->core().faultsTaken(FaultType::MemoryFault), 0u)
+            << (block_engine ? "block engine" : "interpreter");
+    }
+    EXPECT_EQ(runs[0].reason, runs[1].reason);
+    EXPECT_EQ(runs[0].fault, runs[1].fault);
+    EXPECT_EQ(runs[0].instructions, runs[1].instructions);
+    EXPECT_EQ(runs[0].cycles, runs[1].cycles);
+
+    OracleOutcome outcome = runOracles(artifact, OracleOptions{});
+    const auto &checks = outcome.finding_checks;
+    for (const char *check : {"table-outside-memory", "table-outside-tmem"})
+        EXPECT_NE(std::find(checks.begin(), checks.end(), check),
+                  checks.end())
+            << check;
+}
+
 TEST_P(FuzzBothIsas, CommittedTriggersMatchGoldenFilesAndAgree)
 {
     bool x86 = GetParam();

@@ -12,6 +12,7 @@
 #include "isa/riscv/riscv_isa.hh"
 #include "isagrid/domain_manager.hh"
 #include "isagrid/pcu.hh"
+#include "isagrid/privilege_set.hh"
 #include "mem/phys_mem.hh"
 
 using namespace isagrid;
@@ -342,7 +343,7 @@ TEST(PcuCaches, PrefetchWarmsCsrEntries)
     env.dm.publish();
     env.enter(d);
 
-    EXPECT_EQ(env.pcu.prefetch(0), 0u); // all CSRs, no pipeline stall
+    EXPECT_EQ(env.pcu.prefetch(0).stall, 0u); // all CSRs, no pipeline stall
     EXPECT_EQ(env.pcu.checkCsrRead(CSR_SEPC).stall, 0u);
     EXPECT_EQ(env.pcu.checkCsrWrite(CSR_SSTATUS, 0, SSTATUS_SIE).stall,
               0u);
@@ -665,4 +666,113 @@ TEST(PcuCacheUnit, PrefetchProbesAreVisibleInLookupStats)
     env.pcu.prefetch(0);
     EXPECT_GT(env.pcu.regCache().lookups(), before)
         << "prefetch presence checks must count as CAM lookups";
+}
+
+// --- Off-bus table walks: the table bases and the trusted-stack
+// pointer are guest-writable, so a walk may point past physical
+// memory. It raises MemoryFault, charged like a fill, and never
+// switches the domain (docs/isa_extension.md).
+
+namespace {
+
+constexpr Addr kOffBus = 0x7ffffffff000;
+
+} // namespace
+
+TEST(PcuBus, OffBusInstructionBitmapFaults)
+{
+    for (bool bypass : {true, false}) {
+        PcuConfig config = PcuConfig::config8E();
+        config.bypass_enabled = bypass;
+        PcuEnv env(config);
+        DomainId d = env.dm.createBaselineDomain();
+        env.dm.publish();
+        env.pcu.setGridReg(GridReg::InstCap, kOffBus);
+        env.enter(d);
+        CheckOutcome out = env.pcu.checkInstruction(IT_ADD);
+        EXPECT_FALSE(out.allowed) << "bypass " << bypass;
+        EXPECT_EQ(out.fault, FaultType::MemoryFault);
+        EXPECT_EQ(out.stall, config.fallback_fill_latency);
+        EXPECT_FALSE(env.pcu.bypassReady());
+        EXPECT_EQ(env.pcu.currentDomain(), d);
+    }
+}
+
+TEST(PcuBus, OffBusCsrTablesFault)
+{
+    PcuEnv env;
+    DomainId d = env.dm.createDomain();
+    env.dm.publish();
+    env.pcu.setGridReg(GridReg::CsrCap, kOffBus);
+    env.enter(d);
+    EXPECT_EQ(env.pcu.checkCsrRead(CSR_SEPC).fault, FaultType::MemoryFault);
+    EXPECT_EQ(env.pcu.checkCsrWrite(CSR_SEPC, 0, 1).fault,
+              FaultType::MemoryFault);
+    CheckOutcome fill = env.pcu.prefetch(0);
+    EXPECT_FALSE(fill.allowed);
+    EXPECT_EQ(fill.fault, FaultType::MemoryFault);
+    EXPECT_GT(fill.stall, 0u) << "a faulting prefetch fill stalls";
+
+    PcuEnv masked;
+    DomainId m = masked.dm.createDomain();
+    masked.dm.publish();
+    masked.pcu.setGridReg(GridReg::CsrBitMask, kOffBus);
+    masked.enter(m);
+    EXPECT_EQ(masked.pcu.checkCsrWrite(CSR_SSTATUS, 0, SSTATUS_SIE).fault,
+              FaultType::MemoryFault);
+}
+
+TEST(PcuBus, OffBusGateTableFaultsWithoutSwitching)
+{
+    PcuEnv env;
+    DomainId d = env.dm.createBaselineDomain();
+    GateId g = env.dm.registerGate(0x1000, 0x2000, d);
+    env.dm.publish();
+    env.pcu.setGridReg(GridReg::GateAddr, kOffBus);
+    GateOutcome out = env.pcu.gateCall(g, 0x1000, false);
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.fault, FaultType::MemoryFault);
+    EXPECT_GT(out.stall, 0u);
+    EXPECT_EQ(env.pcu.currentDomain(), 0u);
+}
+
+TEST(PcuBus, OffBusTrustedStackFaultsWithoutSwitching)
+{
+    PcuEnv env;
+    DomainId d = env.dm.createBaselineDomain();
+    GateId g = env.dm.registerGate(0x1000, 0x2000, d);
+    env.dm.publish();
+    env.pcu.setGridReg(GridReg::Hcsb, kOffBus);
+    env.pcu.setGridReg(GridReg::Hcsl, kOffBus + 0x1000);
+
+    // Push: the extended call faults before any switch.
+    env.pcu.setGridReg(GridReg::Hcsp, kOffBus);
+    GateOutcome call = env.pcu.gateCall(g, 0x1000, true, 0x1004);
+    EXPECT_EQ(call.fault, FaultType::MemoryFault);
+    EXPECT_EQ(env.pcu.currentDomain(), 0u);
+    EXPECT_EQ(env.pcu.gridReg(GridReg::Hcsp), kOffBus);
+
+    // Pop: the return faults and leaves the stack pointer alone.
+    env.pcu.setGridReg(GridReg::Hcsp, kOffBus + 16);
+    env.enter(d);
+    GateOutcome ret = env.pcu.gateReturn();
+    EXPECT_EQ(ret.fault, FaultType::MemoryFault);
+    EXPECT_EQ(env.pcu.currentDomain(), d);
+    EXPECT_EQ(env.pcu.gridReg(GridReg::Hcsp), kOffBus + 16);
+
+    PerfFrame frames[4];
+    EXPECT_EQ(env.pcu.trustedStackFrames(frames, 4), 0u);
+}
+
+TEST(PcuBus, PrivilegeSetReadsAWrappingTableAsDeny)
+{
+    // The static view of the same tables: a row address within 8 bytes
+    // of 2^64 must read as deny, not wrap past the bound check.
+    PcuEnv env;
+    DomainId d = env.dm.createBaselineDomain();
+    env.dm.publish();
+    env.pcu.setGridReg(GridReg::InstCap,
+                       ~Addr{0} - 3 - d * env.pcu.layout().instStride());
+    PrivilegeSet priv(env.isa, env.mem, env.pcu);
+    EXPECT_FALSE(priv.instAllowed(d, IT_ADD));
 }

@@ -44,6 +44,7 @@
 #include <string>
 
 #include "attacks/attacks.hh"
+#include "cli.hh"
 #include "contract/contract.hh"
 #include "kernel/kernel_builder.hh"
 #include "kernel/layout.hh"
@@ -105,22 +106,21 @@ parse(int argc, char **argv)
             else
                 usage(argv[0]);
         } else if (eatOption(argv[i], "--timer", v)) {
-            opt.timer = std::stoull(v);
+            opt.timer = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--attack", v)) {
             if (v.empty())
                 usage(argv[0]);
             opt.attack = v;
         } else if (eatOption(argv[i], "--domain", v)) {
-            opt.contract.domains.push_back(
-                DomainId(std::stoul(v)));
+            opt.contract.domains.push_back(count(argv[0], v, usage));
         } else if (eatOption(argv[i], "--max-insts", v)) {
-            opt.contract.max_insts = std::stoull(v);
+            opt.contract.max_insts = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--max-windows", v)) {
-            opt.contract.max_windows = std::stoull(v);
+            opt.contract.max_windows = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--depth", v)) {
-            opt.contract.depth_bound = unsigned(std::stoul(v));
+            opt.contract.depth_bound = countUnsigned(argv[0], v, usage);
         } else if (eatOption(argv[i], "--max-states", v)) {
-            opt.contract.max_states = std::stoull(v);
+            opt.contract.max_states = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--fail-on", v)) {
             if (!parseFailOn(v, false, opt.fail_on))
                 usage(argv[0]);

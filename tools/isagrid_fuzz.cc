@@ -44,6 +44,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli.hh"
 #include "fuzz/fuzz.hh"
 #include "sim/logging.hh"
 #include "verify/report_common.hh"
@@ -97,15 +98,13 @@ parse(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (eatOption(argv[i], "--seed", v)) {
-            opt.fuzz.seed = std::stoull(v);
+            opt.fuzz.seed = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--max-iters", v)) {
-            opt.fuzz.max_iters = std::stoull(v);
+            opt.fuzz.max_iters = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--max-seconds", v)) {
-            opt.fuzz.max_seconds = std::stoull(v);
+            opt.fuzz.max_seconds = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--jobs", v)) {
-            opt.fuzz.jobs = static_cast<unsigned>(std::stoul(v));
-            if (opt.fuzz.jobs == 0)
-                usage(argv[0]);
+            opt.fuzz.jobs = countUnsigned(argv[0], v, usage, 1);
         } else if (eatOption(argv[i], "--filter", v)) {
             opt.fuzz.filter = v;
         } else if (eatOption(argv[i], "--corpus", v)) {
@@ -113,7 +112,7 @@ parse(int argc, char **argv)
         } else if (eatOption(argv[i], "--save", v)) {
             opt.save_dir = v;
         } else if (eatOption(argv[i], "--contract-stride", v)) {
-            opt.fuzz.contract_stride = std::stoull(v);
+            opt.fuzz.contract_stride = count(argv[0], v, usage);
         } else if (std::strcmp(argv[i], "--seeds-only") == 0) {
             opt.fuzz.seeds_only = true;
         } else if (std::strcmp(argv[i], "--list-seeds") == 0) {

@@ -40,6 +40,7 @@
 #include <string>
 
 #include "attacks/attacks.hh"
+#include "cli.hh"
 #include "kernel/kernel_builder.hh"
 #include "kernel/layout.hh"
 #include "modelcheck/modelcheck.hh"
@@ -101,15 +102,15 @@ parse(int argc, char **argv)
             else
                 usage(argv[0]);
         } else if (eatOption(argv[i], "--timer", v)) {
-            opt.timer = std::stoull(v);
+            opt.timer = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--attack", v)) {
             if (v.empty())
                 usage(argv[0]);
             opt.attack = v;
         } else if (eatOption(argv[i], "--depth", v)) {
-            opt.mc.depth_bound = unsigned(std::stoul(v));
+            opt.mc.depth_bound = countUnsigned(argv[0], v, usage);
         } else if (eatOption(argv[i], "--max-states", v)) {
-            opt.mc.max_states = std::stoull(v);
+            opt.mc.max_states = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--fail-on", v)) {
             if (!parseFailOn(v, false, opt.fail_on))
                 usage(argv[0]);

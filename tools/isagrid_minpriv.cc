@@ -37,6 +37,7 @@
 #include <string>
 
 #include "attacks/attacks.hh"
+#include "cli.hh"
 #include "kernel/kernel_builder.hh"
 #include "kernel/layout.hh"
 #include "verify/dataflow.hh"
@@ -72,29 +73,18 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-bool
-eat(const char *arg, const char *key, std::string &value)
-{
-    std::size_t len = std::strlen(key);
-    if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-        value = arg + len + 1;
-        return true;
-    }
-    return false;
-}
-
 Options
 parse(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         std::string v;
-        if (eat(argv[i], "--arch", v)) {
+        if (eatOption(argv[i], "--arch", v)) {
             if (v == "x86")
                 opt.x86 = true;
             else if (v != "riscv")
                 usage(argv[0]);
-        } else if (eat(argv[i], "--mode", v)) {
+        } else if (eatOption(argv[i], "--mode", v)) {
             if (v == "native")
                 opt.mode = KernelMode::Monolithic;
             else if (v == "decomposed")
@@ -103,9 +93,9 @@ parse(int argc, char **argv)
                 opt.mode = KernelMode::NestedMonitor;
             else
                 usage(argv[0]);
-        } else if (eat(argv[i], "--timer", v)) {
-            opt.timer = std::stoull(v);
-        } else if (eat(argv[i], "--emit-policy", v)) {
+        } else if (eatOption(argv[i], "--timer", v)) {
+            opt.timer = count(argv[0], v, usage);
+        } else if (eatOption(argv[i], "--emit-policy", v)) {
             if (v.empty())
                 usage(argv[0]);
             opt.emit_policy = v;

@@ -50,7 +50,6 @@
  *       --metrics-out=lm.metrics.json --flame-out=lm.folded
  */
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -60,6 +59,8 @@
 #include <string>
 
 #include "attacks/attacks.hh"
+#include "cli.hh"
+#include "cpu/text_trace.hh"
 #include "kernel/kernel_builder.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
@@ -121,45 +122,18 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/**
- * A decimal count in [lo, hi]. Anything else (empty, signed,
- * non-numeric, trailing junk, out of range) is a usage error.
- */
-std::uint64_t
-count(const char *argv0, const std::string &v, std::uint64_t lo = 0,
-      std::uint64_t hi = std::numeric_limits<std::uint64_t>::max())
-{
-    std::uint64_t n = 0;
-    const char *end = v.data() + v.size();
-    auto [ptr, ec] = std::from_chars(v.data(), end, n);
-    if (ec != std::errc{} || ptr != end || n < lo || n > hi)
-        usage(argv0);
-    return n;
-}
-
-bool
-eat(const char *arg, const char *key, std::string &value)
-{
-    std::size_t len = std::strlen(key);
-    if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-        value = arg + len + 1;
-        return true;
-    }
-    return false;
-}
-
 Options
 parse(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         std::string v;
-        if (eat(argv[i], "--arch", v)) {
+        if (eatOption(argv[i], "--arch", v)) {
             if (v == "x86")
                 opt.x86 = true;
             else if (v != "riscv")
                 usage(argv[0]);
-        } else if (eat(argv[i], "--mode", v)) {
+        } else if (eatOption(argv[i], "--mode", v)) {
             if (v == "native")
                 opt.mode = KernelMode::Monolithic;
             else if (v == "decomposed")
@@ -168,15 +142,13 @@ parse(int argc, char **argv)
                 opt.mode = KernelMode::NestedMonitor;
             else
                 usage(argv[0]);
-        } else if (eat(argv[i], "--workload", v)) {
+        } else if (eatOption(argv[i], "--workload", v)) {
             opt.workload = v;
-        } else if (eat(argv[i], "--blocks", v)) {
-            opt.blocks = unsigned(
-                count(argv[0], v, 0, std::numeric_limits<unsigned>::max()));
-        } else if (eat(argv[i], "--iters", v)) {
-            opt.iters = unsigned(
-                count(argv[0], v, 0, std::numeric_limits<unsigned>::max()));
-        } else if (eat(argv[i], "--pcu", v)) {
+        } else if (eatOption(argv[i], "--blocks", v)) {
+            opt.blocks = countUnsigned(argv[0], v, usage);
+        } else if (eatOption(argv[i], "--iters", v)) {
+            opt.iters = countUnsigned(argv[0], v, usage);
+        } else if (eatOption(argv[i], "--pcu", v)) {
             if (v == "16e")
                 opt.pcu = PcuConfig::config16E();
             else if (v == "8e")
@@ -185,35 +157,36 @@ parse(int argc, char **argv)
                 opt.pcu = PcuConfig::config8EN();
             else
                 usage(argv[0]);
-        } else if (eat(argv[i], "--block-engine", v)) {
+        } else if (eatOption(argv[i], "--block-engine", v)) {
             opt.block_engine = true;
             // 0 would silently turn the engine off again.
             opt.block_hot_threshold = std::uint32_t(count(
-                argv[0], v, 1, std::numeric_limits<std::uint32_t>::max()));
+                argv[0], v, usage, 1,
+                std::numeric_limits<std::uint32_t>::max()));
         } else if (std::strcmp(argv[i], "--block-engine") == 0) {
             opt.block_engine = true;
-        } else if (eat(argv[i], "--timer", v)) {
-            opt.timer = count(argv[0], v);
-        } else if (eat(argv[i], "--trace", v)) {
+        } else if (eatOption(argv[i], "--timer", v)) {
+            opt.timer = count(argv[0], v, usage);
+        } else if (eatOption(argv[i], "--trace", v)) {
             opt.trace_file = v;
-        } else if (eat(argv[i], "--trace-events", v)) {
+        } else if (eatOption(argv[i], "--trace-events", v)) {
             opt.trace_events_file = v;
-        } else if (eat(argv[i], "--trace-filter", v)) {
+        } else if (eatOption(argv[i], "--trace-filter", v)) {
             std::string error;
             if (!parseTraceFilter(v, opt.trace_filter, error))
                 fatal("--trace-filter: %s", error.c_str());
-        } else if (eat(argv[i], "--stats-json", v)) {
+        } else if (eatOption(argv[i], "--stats-json", v)) {
             opt.stats_json_file = v;
-        } else if (eat(argv[i], "--metrics-out", v)) {
+        } else if (eatOption(argv[i], "--metrics-out", v)) {
             opt.metrics_out_file = v;
-        } else if (eat(argv[i], "--metrics-prom", v)) {
+        } else if (eatOption(argv[i], "--metrics-prom", v)) {
             opt.metrics_prom_file = v;
-        } else if (eat(argv[i], "--flame-out", v)) {
+        } else if (eatOption(argv[i], "--flame-out", v)) {
             opt.flame_out_file = v;
-        } else if (eat(argv[i], "--metrics-interval", v)) {
-            opt.perf.metrics_interval = count(argv[0], v);
-        } else if (eat(argv[i], "--profile-interval", v)) {
-            opt.perf.profile_interval = count(argv[0], v);
+        } else if (eatOption(argv[i], "--metrics-interval", v)) {
+            opt.perf.metrics_interval = count(argv[0], v, usage);
+        } else if (eatOption(argv[i], "--profile-interval", v)) {
+            opt.perf.profile_interval = count(argv[0], v, usage);
         } else if (std::strcmp(argv[i], "--tstacks") == 0) {
             opt.tstacks = true;
         } else if (std::strcmp(argv[i], "--monitor-log") == 0) {
@@ -449,11 +422,12 @@ main(int argc, char **argv)
     KernelImage image = builder.build(entry);
 
     std::ofstream trace;
+    TextTrace tracer(trace);
     if (!opt.trace_file.empty()) {
         trace.open(opt.trace_file);
         if (!trace)
             fatal("cannot open trace file %s", opt.trace_file.c_str());
-        machine->core().setTrace(&trace);
+        machine->core().setStepHook(&tracer);
     }
 
     BinaryTraceSink sink(events);
@@ -464,7 +438,7 @@ main(int argc, char **argv)
     wireMetrics(*machine, opt, image);
 
     RunResult r = machine->run(image.boot_pc, 2'000'000'000ull);
-    machine->core().setTrace(nullptr);
+    machine->core().setStepHook(nullptr);
     if (events_os)
         machine->trace()->flush();
     writeMetricsOutputs(*machine, opt);

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "isa/inst.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -57,29 +58,18 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-bool
-eat(const char *arg, const char *key, std::string &value)
-{
-    std::size_t len = std::strlen(key);
-    if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-        value = arg + len + 1;
-        return true;
-    }
-    return false;
-}
-
 Options
 parse(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         std::string v;
-        if (eat(argv[i], "--export-perfetto", v)) {
+        if (eatOption(argv[i], "--export-perfetto", v)) {
             opt.perfetto_file = v;
-        } else if (eat(argv[i], "--top", v)) {
-            opt.top = unsigned(std::stoul(v));
-        } else if (eat(argv[i], "--timeline", v)) {
-            opt.timeline = unsigned(std::stoul(v));
+        } else if (eatOption(argv[i], "--top", v)) {
+            opt.top = countUnsigned(argv[0], v, usage);
+        } else if (eatOption(argv[i], "--timeline", v)) {
+            opt.timeline = countUnsigned(argv[0], v, usage);
         } else if (std::strcmp(argv[i], "--validate") == 0) {
             opt.validate = true;
         } else if (argv[i][0] == '-') {

@@ -38,6 +38,7 @@
 #include <string>
 
 #include "attacks/attacks.hh"
+#include "cli.hh"
 #include "kernel/kernel_builder.hh"
 #include "kernel/layout.hh"
 #include "verify/report_common.hh"
@@ -95,7 +96,7 @@ parse(int argc, char **argv)
             else
                 usage(argv[0]);
         } else if (eatOption(argv[i], "--timer", v)) {
-            opt.timer = std::stoull(v);
+            opt.timer = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--attack", v)) {
             if (v.empty())
                 usage(argv[0]);

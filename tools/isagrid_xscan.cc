@@ -39,6 +39,7 @@
 #include <string>
 
 #include "attacks/attacks.hh"
+#include "cli.hh"
 #include "kernel/kernel_builder.hh"
 #include "kernel/layout.hh"
 #include "verify/report_common.hh"
@@ -97,13 +98,13 @@ parse(int argc, char **argv)
             else
                 usage(argv[0]);
         } else if (eatOption(argv[i], "--timer", v)) {
-            opt.timer = std::stoull(v);
+            opt.timer = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--attack", v)) {
             if (v.empty())
                 usage(argv[0]);
             opt.attack = v;
         } else if (eatOption(argv[i], "--max-findings", v)) {
-            opt.xscan.max_findings = std::stoull(v);
+            opt.xscan.max_findings = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--fail-on", v)) {
             if (!parseFailOn(v, false, opt.fail_on))
                 usage(argv[0]);
