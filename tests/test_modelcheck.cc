@@ -109,6 +109,13 @@ struct CleanCase
     Cycle timer;
 };
 
+// gtest would print the raw bytes, pointers included, into the ctest
+// name, which then changes with every load address. Print the name.
+void PrintTo(const CleanCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class McClean : public ::testing::TestWithParam<CleanCase>
 {
 };

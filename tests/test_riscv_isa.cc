@@ -58,6 +58,13 @@ struct RtCase
     std::function<void(RiscvAsm &)> emit;
 };
 
+// gtest would print the raw bytes, pointers included, into the ctest
+// name, which then changes with every load address. Print the name.
+void PrintTo(const RtCase &c, std::ostream *os)
+{
+    *os << c.mnemonic;
+}
+
 class RiscvRoundTrip : public ::testing::TestWithParam<RtCase>
 {
 };
