@@ -1,59 +1,15 @@
 #include "contract/relcheck.hh"
 
-#include <deque>
-#include <map>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 
-#include "isa/disasm.hh"
 #include "isa/state.hh"
 #include "isagrid/privilege_set.hh"
-#include "isagrid/sgt.hh"
+#include "modelcheck/explorer.hh"
 
 namespace isagrid {
 
 namespace {
-
-/** One trusted-stack frame, shared by the pair of runs. */
-struct Frame
-{
-    Addr ret_pc = 0;
-    DomainId src = 0;
-    bool operator==(const Frame &) const = default;
-};
-
-/** One relational state (a set of run pairs; see relcheck.hh). */
-struct RelState
-{
-    DomainId domain = 0;
-    std::vector<Frame> stack;
-    /** Per tracked CSR: bits on which the two copies may differ. */
-    std::vector<RegVal> diff;
-    /** Per domain: tracked-CSR indices its registers may carry. */
-    std::vector<std::uint64_t> carry;
-};
-
-std::string
-keyOf(const RelState &s)
-{
-    std::string key;
-    auto put64 = [&key](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            key.push_back(char(v >> (8 * i)));
-    };
-    put64(s.domain);
-    put64(s.stack.size());
-    for (const Frame &f : s.stack) {
-        put64(f.ret_pc);
-        put64(f.src);
-    }
-    for (RegVal d : s.diff)
-        put64(d);
-    for (std::uint64_t c : s.carry)
-        put64(c);
-    return key;
-}
 
 /** One controlled CSR with its Section 4.1 indices. */
 struct TrackedCsr
@@ -64,54 +20,31 @@ struct TrackedCsr
     bool high = false; //!< outside the target's read set
 };
 
-/** One SGT entry pre-decoded at its registered address. */
-struct GateInfo
-{
-    SgtEntry entry;
-    bool usable = false;
-    bool extended = false;
-    InstTypeId type = invalidInstType;
-    std::uint8_t rs1 = 0;
-    std::uint8_t length = 0;
-};
-
-/** The per-target relational exploration. */
+/**
+ * The per-target relational exploration: the Explorer walks the
+ * domain switches, this analysis adds the pair abstraction (see
+ * relcheck.hh) as abstraction words — diff[i] for tracked CSR i at
+ * word i, then carry[d] per domain at word csrs.size() + d.
+ */
 struct RelChecker
 {
-    const IsaModel &isa;
-    const PhysMem &mem;
-    PolicyView policy;
-    const PolicySnapshot &snap;
+    const PolicyView policy;
     DomainId target;
-    const ContractOptions &options;
     std::vector<ContractFinding> &findings;
-    ContractStats &stats;
 
     std::vector<TrackedCsr> csrs;
-    std::vector<GateInfo> gates;
-    std::map<DomainId, std::vector<Addr>> retSites;
-
-    struct Node
-    {
-        RelState state;
-        std::uint32_t parent = ~0u;
-        TraceStep edge;
-        unsigned depth = 0;
-    };
-    std::vector<Node> nodes;
-    std::unordered_map<std::string, std::uint32_t> index;
+    std::size_t carryWords = 1; //!< one per configured domain
+    Explorer ex;
     std::set<std::tuple<std::string, DomainId, std::uint32_t>> reported;
-    bool state_cap_hit = false;
 
     RelChecker(const IsaModel &isa, const PhysMem &mem,
                const PolicySnapshot &snap,
                const std::vector<CodeRegion> &regions, DomainId target,
                const ContractOptions &options,
-               std::vector<ContractFinding> &findings,
-               ContractStats &stats)
-        : isa(isa), mem(mem), policy(isa, mem, snap), snap(snap),
-          target(target), options(options), findings(findings),
-          stats(stats)
+               std::vector<ContractFinding> &findings)
+        : policy(isa, mem, snap), target(target), findings(findings),
+          ex(isa, mem, snap, regions, options.max_states,
+             options.depth_bound)
     {
         ArchState probe;
         probe.zero_reg_hardwired = isa.name() != "x86";
@@ -135,51 +68,8 @@ struct RelChecker
             if (csrs.size() < 64)
                 csrs.push_back(c);
         }
-
-        GateId n = policy.numGates();
-        if (n > 4096)
-            n = 4096; // corrupt gatenr: the structure checks flag it
-        for (GateId id = 0; id < n; ++id) {
-            GateInfo g;
-            g.entry = policy.gate(id);
-            DecodedInst inst = decodeAt(isa, mem, g.entry.gate_addr);
-            if (inst.valid && (inst.cls == InstClass::GateCall ||
-                               inst.cls == InstClass::GateCallS)) {
-                g.usable = true;
-                g.extended = inst.cls == InstClass::GateCallS;
-                g.type = inst.type;
-                g.rs1 = inst.rs1;
-                g.length = inst.length;
-            }
-            gates.push_back(g);
-        }
-
-        for (const CodeRegion &region : regions) {
-            walkRegion(isa, mem, region, [&](const ScanStep &step) {
-                if (step.inst->cls == InstClass::GateRet)
-                    retSites[region.domain].push_back(step.pc);
-            });
-        }
-    }
-
-    DomainId numDomains() const { return policy.numDomains(); }
-
-    std::size_t
-    stackCapacity() const
-    {
-        RegVal base = snap.reg(GridReg::Hcsb);
-        RegVal limit = snap.reg(GridReg::Hcsl);
-        return limit > base ? (limit - base) / 16 : 0;
-    }
-
-    std::vector<TraceStep>
-    pathTo(std::uint32_t node) const
-    {
-        std::vector<TraceStep> steps;
-        for (std::uint32_t i = node; nodes[i].parent != ~0u;
-             i = nodes[i].parent)
-            steps.push_back(nodes[i].edge);
-        return {steps.rbegin(), steps.rend()};
+        if (policy.numDomains() != 0)
+            carryWords = policy.numDomains();
     }
 
     void
@@ -202,25 +92,6 @@ struct RelChecker
         findings.push_back(std::move(f));
     }
 
-    std::uint32_t
-    discover(const RelState &s, std::uint32_t parent, TraceStep edge,
-             unsigned depth, std::deque<std::uint32_t> &frontier)
-    {
-        std::string key = keyOf(s);
-        auto it = index.find(key);
-        if (it != index.end())
-            return it->second;
-        if (nodes.size() >= options.max_states) {
-            state_cap_hit = true;
-            return ~0u;
-        }
-        std::uint32_t id = std::uint32_t(nodes.size());
-        nodes.push_back({s, parent, std::move(edge), depth});
-        index.emplace(std::move(key), id);
-        frontier.push_back(id);
-        return id;
-    }
-
     std::vector<std::uint32_t>
     carriedAddrs(std::uint64_t carry) const
     {
@@ -232,92 +103,41 @@ struct RelChecker
         return addrs;
     }
 
+    // --- Explorer hooks: switches carry no relational property ---
+    void discovered(std::uint32_t) {}
+    void gateFault(std::uint32_t, GateId) {}
+    void gateEntered(std::uint32_t, GateId, DomainId) {}
+
+    /** Permitted CSR reads and writes of the current domain. */
     void
-    expand(std::uint32_t id, std::deque<std::uint32_t> &frontier)
+    expand(std::uint32_t id)
     {
-        const unsigned depth = nodes[id].depth;
-        if (depth >= options.depth_bound)
-            return;
-        const DomainId d = nodes[id].state.domain;
-        const DomainId domains = numDomains();
-
-        // --- gate calls, executable from every domain (the SGT, not
-        // the caller, names the destination) ---
-        for (std::size_t gid = 0; gid < gates.size(); ++gid) {
-            const GateInfo &g = gates[gid];
-            if (!g.usable)
-                continue;
-            if (d != 0 && g.type != invalidInstType &&
-                !policy.instAllowed(d, g.type))
-                continue;
-            if (domains != 0 && g.entry.dest_domain >= domains)
-                continue; // faults; the model checker reports it
-            ++stats.rel_transitions;
-            RelState succ = nodes[id].state;
-            succ.domain = DomainId(g.entry.dest_domain);
-            if (g.extended) {
-                if (succ.stack.size() >= stackCapacity())
-                    continue;
-                succ.stack.push_back({g.entry.gate_addr + g.length, d});
-            }
-            TraceStep step;
-            step.kind = g.extended ? TraceStep::Kind::GateCallS
-                                   : TraceStep::Kind::GateCall;
-            step.pc = g.entry.gate_addr;
-            step.in_image = true;
-            step.gate = GateId(gid);
-            step.domain_before = d;
-            step.domain_after = succ.domain;
-            discover(succ, id, std::move(step), depth + 1, frontier);
-        }
-
-        // --- hcrets pops, as in the model checker ---
-        auto sites = retSites.find(d);
-        if (sites != retSites.end() && !sites->second.empty() &&
-            !nodes[id].state.stack.empty()) {
-            const Frame top = nodes[id].state.stack.back();
-            if (top.src != 0 && (domains == 0 || top.src < domains)) {
-                ++stats.rel_transitions;
-                RelState succ = nodes[id].state;
-                succ.stack.pop_back();
-                succ.domain = top.src;
-                TraceStep step;
-                step.kind = TraceStep::Kind::GateRet;
-                step.pc = sites->second.front();
-                step.in_image = true;
-                step.domain_before = d;
-                step.domain_after = top.src;
-                discover(succ, id, std::move(step), depth + 1,
-                         frontier);
-            }
-        }
-
+        const DomainId d = ex.domain(id);
         if (d == 0)
             return; // domain-0 is the trusted base of the contract
-
+        const std::size_t carry_word = csrs.size() + d;
         const std::uint64_t carry =
-            d < nodes[id].state.carry.size() ? nodes[id].state.carry[d]
-                                             : 0;
+            d < carryWords ? ex.abstraction(id)[carry_word] : 0;
 
         for (std::size_t i = 0; i < csrs.size(); ++i) {
             const TrackedCsr &c = csrs[i];
-            const RegVal diff = nodes[id].state.diff[i];
+            const RegVal diff = ex.abstraction(id)[i];
 
             // --- permitted reads: a differing value moves into the
             // reader's registers ---
-            if (diff != 0 && policy.csrReadAllowed(d, c.bitmap_index) &&
+            if (diff != 0 && d < carryWords &&
+                policy.csrReadAllowed(d, c.bitmap_index) &&
                 (carry & (std::uint64_t{1} << i)) == 0) {
-                ++stats.rel_transitions;
-                RelState succ = nodes[id].state;
-                succ.carry[d] |= std::uint64_t{1} << i;
-                TraceStep step;
-                step.kind = TraceStep::Kind::Inst;
-                step.csr_addr = c.addr;
-                step.domain_before = step.domain_after = d;
-                step.note = "permitted read of a CSR whose copies "
-                            "differ (diff " + hexAddr(diff) + ")";
-                discover(succ, id, std::move(step), depth + 1,
-                         frontier);
+                ex.successor(id)[carry_word] |= std::uint64_t{1} << i;
+                ex.follow(*this, id, [&] {
+                    TraceStep step;
+                    step.kind = TraceStep::Kind::Inst;
+                    step.csr_addr = c.addr;
+                    step.domain_before = step.domain_after = d;
+                    step.note = "permitted read of a CSR whose copies "
+                                "differ (diff " + hexAddr(diff) + ")";
+                    return step;
+                });
             }
 
             // --- permitted writes ---
@@ -325,22 +145,22 @@ struct RelChecker
                 // Full write: the written value comes from registers —
                 // equal across the pair unless the writer carries high
                 // data.
-                ++stats.rel_transitions;
-                RelState succ = nodes[id].state;
-                succ.diff[i] = carry != 0 ? ~RegVal{0} : 0;
-                TraceStep step;
-                step.kind = TraceStep::Kind::CsrWrite;
-                step.csr_addr = c.addr;
-                step.domain_before = step.domain_after = d;
-                step.note = carry != 0
-                                ? "full write from registers that may "
-                                  "carry high data"
-                                : "full write of a value equal in both "
-                                  "copies";
+                auto step = [&] {
+                    TraceStep s;
+                    s.kind = TraceStep::Kind::CsrWrite;
+                    s.csr_addr = c.addr;
+                    s.domain_before = s.domain_after = d;
+                    s.note = carry != 0
+                                 ? "full write from registers that may "
+                                   "carry high data"
+                                 : "full write of a value equal in both "
+                                   "copies";
+                    return s;
+                };
                 if (carry != 0 &&
                     policy.csrReadAllowed(target, c.bitmap_index)) {
-                    std::vector<TraceStep> trace = pathTo(id);
-                    trace.push_back(step);
+                    std::vector<TraceStep> trace = ex.pathTo(id);
+                    trace.push_back(step());
                     addFinding(
                         Severity::Warning, "rel-high-flow", d, c.addr,
                         "domain " + std::to_string(d) +
@@ -350,12 +170,13 @@ struct RelChecker
                             std::to_string(target) + " reads",
                         std::move(trace), carriedAddrs(carry));
                 }
-                discover(succ, id, std::move(step), depth + 1,
-                         frontier);
+                ex.successor(id)[i] = carry != 0 ? ~RegVal{0} : 0;
+                ex.follow(*this, id, step);
                 continue;
             }
-            if (c.mask_index == invalidCsrIndex)
-                continue;
+            if (c.mask_index == invalidCsrIndex ||
+                !policy.csrOnBus(d, c.bitmap_index))
+                continue; // no mask, or the bitmap walk faults first
             RegVal mask = policy.mask(d, c.mask_index);
             if (mask == 0)
                 continue;
@@ -364,7 +185,7 @@ struct RelChecker
                 // with the copies differing outside the mask, one copy
                 // accepts what the other faults — a fault channel.
                 if (d == target) {
-                    std::vector<TraceStep> trace = pathTo(id);
+                    std::vector<TraceStep> trace = ex.pathTo(id);
                     TraceStep step;
                     step.kind = TraceStep::Kind::CsrWrite;
                     step.csr_addr = c.addr;
@@ -395,39 +216,27 @@ struct RelChecker
             // copies. The accepted write replaces the value with one
             // that differs at most inside the mask (and only if the
             // writer carries high data).
-            ++stats.rel_transitions;
-            RelState succ = nodes[id].state;
-            succ.diff[i] = carry != 0 ? mask : 0;
-            TraceStep step;
-            step.kind = TraceStep::Kind::CsrWrite;
-            step.csr_addr = c.addr;
-            step.flip = mask;
-            step.masked = true;
-            step.domain_before = step.domain_after = d;
-            step.note = "masked write, mask " + hexAddr(mask);
-            discover(succ, id, std::move(step), depth + 1, frontier);
+            ex.successor(id)[i] = carry != 0 ? mask : 0;
+            ex.follow(*this, id, [&] {
+                TraceStep step;
+                step.kind = TraceStep::Kind::CsrWrite;
+                step.csr_addr = c.addr;
+                step.flip = mask;
+                step.masked = true;
+                step.domain_before = step.domain_after = d;
+                step.note = "masked write, mask " + hexAddr(mask);
+                return step;
+            });
         }
     }
 
-    void
+    ExplorerStats
     run(DomainId initial_domain)
     {
-        RelState init;
-        init.domain = initial_domain;
-        init.diff.resize(csrs.size());
+        std::vector<RegVal> init(csrs.size() + carryWords, 0);
         for (std::size_t i = 0; i < csrs.size(); ++i)
-            init.diff[i] = csrs[i].high ? ~RegVal{0} : 0;
-        DomainId domains = numDomains();
-        init.carry.assign(domains != 0 ? domains : 1, 0);
-
-        std::deque<std::uint32_t> frontier;
-        discover(init, ~0u, TraceStep{}, 0, frontier);
-        while (!frontier.empty()) {
-            std::uint32_t id = frontier.front();
-            frontier.pop_front();
-            expand(id, frontier);
-        }
-        stats.rel_states += nodes.size();
+            init[i] = csrs[i].high ? ~RegVal{0} : 0;
+        return ex.run(*this, initial_domain, init);
     }
 };
 
@@ -443,8 +252,10 @@ runRelationalCheck(const IsaModel &isa, const PhysMem &mem,
                    ContractStats &stats)
 {
     RelChecker checker(isa, mem, snap, regions, target, options,
-                       findings, stats);
-    checker.run(initial_domain);
+                       findings);
+    ExplorerStats explored = checker.run(initial_domain);
+    stats.rel_states += explored.states;
+    stats.rel_transitions += explored.transitions;
 }
 
 } // namespace isagrid

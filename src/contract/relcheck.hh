@@ -19,8 +19,10 @@
  *
  * The initial diff is maximal (D[i] = ~0) exactly on T's high CSRs —
  * the controlled CSRs outside T's read set (PrivilegeSet::highCsrs
- * semantics). Transitions mirror the model checker's gate calls,
- * hcrets pops and permitted CSR writes, plus permitted CSR *reads*
+ * semantics). One explorer (modelcheck/explorer.hh) walks the domain
+ * switches — gate calls and hcrets pops — for both analyses; this
+ * module supplies only its abstraction (the diff and carry sets) and
+ * its successors: permitted CSR writes and permitted CSR *reads*
  * (which move a diff into a domain's registers). Two relational
  * properties are checked:
  *

@@ -1,20 +1,18 @@
 #include "modelcheck/modelcheck.hh"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string_view>
 #include <tuple>
-#include <unordered_map>
 
 #include "isa/disasm.hh"
 #include "isa/state.hh"
-#include "isagrid/hpt.hh"
 #include "isagrid/sgt.hh"
 #include "kernel/asm_iface.hh"
+#include "modelcheck/explorer.hh"
 #include "verify/report_common.hh"
 
 namespace isagrid {
@@ -35,77 +33,12 @@ kindName(TraceStep::Kind kind)
     return "?";
 }
 
-/** One trusted-stack frame in the abstract state. */
-struct Frame
-{
-    Addr ret_pc = 0;
-    DomainId src = 0;
-    bool operator==(const Frame &) const = default;
-};
-
-/** Per-bit must/may abstraction of one bit-maskable CSR. */
-struct CsrAbs
-{
-    /** Bits still guaranteed to hold their boot value. */
-    RegVal known = ~RegVal{0};
-    /** Bits possibly flipped through bit-mask (not full-write) grants. */
-    RegVal dirty = 0;
-    bool operator==(const CsrAbs &) const = default;
-};
-
-/** One explicit state of the transition system. */
-struct State
-{
-    DomainId domain = 0;
-    std::vector<Frame> stack;
-    std::vector<CsrAbs> csrs;
-};
-
-std::string
-keyOf(const State &s)
-{
-    std::string key;
-    auto put64 = [&key](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            key.push_back(char(v >> (8 * i)));
-    };
-    put64(s.domain);
-    put64(s.stack.size());
-    for (const Frame &f : s.stack) {
-        put64(f.ret_pc);
-        put64(f.src);
-    }
-    for (const CsrAbs &c : s.csrs) {
-        put64(c.known);
-        put64(c.dirty);
-    }
-    return key;
-}
-
 /** A bit-maskable CSR and its Section 4.1 indices. */
 struct MaskableCsr
 {
     std::uint32_t addr = 0;
     CsrIndex bitmap_index = invalidCsrIndex;
     CsrIndex mask_index = invalidCsrIndex;
-};
-
-/** One SGT entry pre-decoded at its registered address. */
-struct GateInfo
-{
-    SgtEntry entry;
-    bool usable = false;  //!< decodes to hccall/hccalls at gate_addr
-    bool extended = false;
-    InstTypeId type = invalidInstType;
-    std::uint8_t rs1 = 0;
-    std::uint8_t length = 0;
-};
-
-/** An hcrets encoding found in a domain's code. */
-struct RetSite
-{
-    Addr pc = 0;
-    InstTypeId type = invalidInstType;
 };
 
 } // namespace
@@ -257,10 +190,13 @@ struct ModelChecker::Impl
     PolicyView policy;
     ArchState probe; //!< reset CSR file: which addresses exist
 
+    /**
+     * Maskable CSR m owns abstraction words 2m (`known`: bits still
+     * guaranteed to hold their boot value) and 2m + 1 (`dirty`: bits
+     * possibly flipped through bit-mask, not full-write, grants).
+     */
     std::vector<MaskableCsr> maskables;
-    std::vector<GateInfo> gates;
     std::map<Addr, GateId> gateAt; //!< registered gate addresses
-    std::map<DomainId, std::vector<RetSite>> retSites;
 
     /**
      * Instruction types the replay stub executes for synthesized
@@ -274,16 +210,8 @@ struct ModelChecker::Impl
     std::vector<std::vector<InstTypeId>> csrStubTypes;
     std::vector<InstTypeId> storeStubTypes;
 
-    // --- BFS bookkeeping ---
-    struct Node
-    {
-        State state;
-        std::uint32_t parent = ~0u;
-        TraceStep edge;
-        unsigned depth = 0;
-    };
-    std::vector<Node> nodes;
-    std::unordered_map<std::string, std::uint32_t> index;
+    Explorer ex;
+    McResult res;
     std::set<DomainId> scannedDomains;
     std::set<std::tuple<std::string, DomainId, Addr>> reported;
     std::map<const CodeRegion *, std::set<Addr>> boundaryCache;
@@ -293,7 +221,9 @@ struct ModelChecker::Impl
          DomainId initial_domain, const McOptions &options)
         : isa(isa), mem(mem), snap(snapshot),
           regions(std::move(regions)), initialDomain(initial_domain),
-          options(options), policy(isa, mem, snap)
+          options(options), policy(isa, mem, snap),
+          ex(isa, mem, snap, this->regions, options.max_states,
+             options.depth_bound)
     {
         probe.zero_reg_hardwired = isa.name() != "x86";
         isa.initState(probe);
@@ -317,23 +247,9 @@ struct ModelChecker::Impl
             a.store64(a.regTmp(1), a.regTmp(0), 0);
         });
 
-        GateId n = policy.numGates();
-        if (n > 4096)
-            n = 4096; // a corrupt gatenr: structure checks flag it
-        for (GateId id = 0; id < n; ++id) {
-            GateInfo g;
-            g.entry = policy.gate(id);
-            DecodedInst inst = decodeAt(isa, mem, g.entry.gate_addr);
-            if (inst.valid && (inst.cls == InstClass::GateCall ||
-                               inst.cls == InstClass::GateCallS)) {
-                g.usable = true;
-                g.extended = inst.cls == InstClass::GateCallS;
-                g.type = inst.type;
-                g.rs1 = inst.rs1;
-                g.length = inst.length;
-            }
-            gates.push_back(g);
-            gateAt.emplace(g.entry.gate_addr, id);
+        for (GateId id = 0; id < ex.gates().size(); ++id) {
+            if (policy.gateOnBus(id))
+                gateAt.emplace(ex.gates()[id].entry.gate_addr, id);
         }
     }
 
@@ -385,12 +301,25 @@ struct ModelChecker::Impl
 
     DomainId numDomains() const { return policy.numDomains(); }
 
-    std::size_t
-    stackCapacity() const
+    /** The PCU's fault for a type @p d is denied: off the bus, memory. */
+    FaultType
+    instFault(DomainId d) const
     {
-        RegVal base = snap.reg(GridReg::Hcsb);
-        RegVal limit = snap.reg(GridReg::Hcsl);
-        return limit > base ? (limit - base) / 16 : 0;
+        return policy.instOnBus(d) ? FaultType::InstPrivilege
+                                   : FaultType::MemoryFault;
+    }
+
+    /**
+     * The PCU's fault for a call of gate @p id at an address the entry
+     * does not register: it range-checks the id, reads the entry
+     * (MemoryFault off the bus), then compares the address.
+     */
+    FaultType
+    gateCallFault(GateId id) const
+    {
+        return id < policy.numGates() && !policy.gateOnBus(id)
+                   ? FaultType::MemoryFault
+                   : FaultType::GateFault;
     }
 
     bool
@@ -437,9 +366,8 @@ struct ModelChecker::Impl
     // --- findings ---
 
     void
-    addFinding(McResult &res, Severity severity, std::string check,
-               DomainId domain, Addr addr, std::string message,
-               std::vector<TraceStep> trace)
+    addFinding(Severity severity, std::string check, DomainId domain,
+               Addr addr, std::string message, std::vector<TraceStep> trace)
     {
         if (!reported.emplace(check, domain, addr).second)
             return;
@@ -447,17 +375,6 @@ struct ModelChecker::Impl
             return;
         res.findings.push_back({severity, std::move(check), domain, addr,
                                 std::move(message), std::move(trace)});
-    }
-
-    /** The counterexample prefix leading to @p node. */
-    std::vector<TraceStep>
-    pathTo(std::uint32_t node) const
-    {
-        std::vector<TraceStep> steps;
-        for (std::uint32_t i = node; nodes[i].parent != ~0u;
-             i = nodes[i].parent)
-            steps.push_back(nodes[i].edge);
-        return {steps.rbegin(), steps.rend()};
     }
 
     /** Register seeds from the constant window of a scanned site. */
@@ -473,292 +390,185 @@ struct ModelChecker::Impl
         return seed;
     }
 
-    // --- state-space exploration ---
-
-    std::uint32_t
-    discover(const State &s, std::uint32_t parent, TraceStep edge,
-             unsigned depth, std::deque<std::uint32_t> &frontier,
-             McResult &res)
-    {
-        std::string key = keyOf(s);
-        auto it = index.find(key);
-        if (it != index.end())
-            return it->second;
-        if (nodes.size() >= options.max_states) {
-            res.stats.state_cap_hit = true;
-            return ~0u;
-        }
-        std::uint32_t id = std::uint32_t(nodes.size());
-        nodes.push_back({s, parent, std::move(edge), depth});
-        index.emplace(std::move(key), id);
-        frontier.push_back(id);
-        if (depth > res.stats.depth_reached)
-            res.stats.depth_reached = depth;
-        onDiscover(id, res);
-        return id;
-    }
+    // --- Explorer hooks: properties of the reachable states ---
 
     /** State-dependent property checks + first-reach domain scan. */
     void
-    onDiscover(std::uint32_t id, McResult &res)
+    discovered(std::uint32_t id)
     {
-        const State &s = nodes[id].state;
-        if (scannedDomains.insert(s.domain).second) {
+        const DomainId d = ex.domain(id);
+        if (scannedDomains.insert(d).second) {
             ++res.stats.domains_scanned;
             for (const auto &region : regions) {
-                if (region.domain == s.domain)
-                    scanRegion(region, id, res);
+                if (region.domain == d)
+                    scanRegion(region, id);
             }
         }
 
-        if (s.domain == 0)
+        if (d == 0)
             return;
+        const Addr *ret_pc = ex.retSite(d);
+        if (ret_pc == nullptr)
+            return;
+        const std::size_t frames = ex.frames(id);
 
         // Trusted-stack unforgeability: an hcrets site reachable with
         // an empty stack (the PCU underflow-faults, blocking the
         // ROP-style return).
-        auto sites = retSites.find(s.domain);
-        bool has_ret = sites != retSites.end() && !sites->second.empty();
-        if (has_ret && s.stack.empty()) {
-            for (const RetSite &site : sites->second) {
-                if (site.type != invalidInstType &&
-                    !policy.instAllowed(s.domain, site.type))
-                    continue;
-                std::vector<TraceStep> trace = pathTo(id);
-                TraceStep step;
-                step.kind = TraceStep::Kind::GateRet;
-                step.pc = site.pc;
-                step.in_image = true;
-                step.expect = FaultType::TrustedStackFault;
-                step.domain_before = s.domain;
-                step.domain_after = s.domain;
-                step.note = "hcrets with no frame to pop";
-                trace.push_back(std::move(step));
-                addFinding(res, Severity::Violation, "mc-ret-underflow",
-                           s.domain, site.pc,
-                           "hcrets reachable with an empty trusted "
-                           "stack: an attacker-driven return has no "
-                           "legitimate frame and must underflow-fault",
-                           std::move(trace));
-                break;
-            }
+        if (frames == 0) {
+            std::vector<TraceStep> trace = ex.pathTo(id);
+            TraceStep step;
+            step.kind = TraceStep::Kind::GateRet;
+            step.pc = *ret_pc;
+            step.in_image = true;
+            step.expect = FaultType::TrustedStackFault;
+            step.domain_before = d;
+            step.domain_after = d;
+            step.note = "hcrets with no frame to pop";
+            trace.push_back(std::move(step));
+            addFinding(Severity::Violation, "mc-ret-underflow", d,
+                       *ret_pc,
+                       "hcrets reachable with an empty trusted "
+                       "stack: an attacker-driven return has no "
+                       "legitimate frame and must underflow-fault",
+                       std::move(trace));
+            return;
         }
 
         // Trusted-stack storage outside trusted memory: any domain in
         // an extended call can rewrite its own return frame and land
         // in an arbitrary (domain, pc).
-        if (has_ret && !s.stack.empty() && !stackInsideTmem() &&
-            stubAllowed(s.domain, storeStubTypes)) {
-            const RetSite *forge_site = nullptr;
-            for (const RetSite &c : sites->second) {
-                if (c.type == invalidInstType ||
-                    policy.instAllowed(s.domain, c.type)) {
-                    forge_site = &c;
-                    break;
-                }
-            }
-            if (forge_site == nullptr)
-                return;
-            const RetSite &site = *forge_site;
-            DomainId forged = 0;
-            for (DomainId d = numDomains(); d-- > 1;) {
-                if (d != s.domain) {
-                    forged = d;
-                    break;
-                }
-            }
-            if (forged == 0 && numDomains() > 1)
-                forged = s.domain;
-            if (forged != 0) {
-                Addr frame = snap.reg(GridReg::Hcsb) +
-                             16 * (s.stack.size() - 1);
-                Addr target = site.pc;
-                for (const auto &r : regions) {
-                    if (r.domain == forged) {
-                        target = r.base;
-                        break;
-                    }
-                }
-                std::vector<TraceStep> trace = pathTo(id);
-                TraceStep st;
-                st.kind = TraceStep::Kind::Store;
-                st.store_addr = frame;
-                st.store_value = target;
-                st.domain_before = st.domain_after = s.domain;
-                st.note = "forge frame return_pc";
-                trace.push_back(st);
-                st.store_addr = frame + 8;
-                st.store_value = forged;
-                st.note = "forge frame source domain";
-                trace.push_back(st);
-                TraceStep ret;
-                ret.kind = TraceStep::Kind::GateRet;
-                ret.pc = site.pc;
-                ret.in_image = true;
-                ret.domain_before = s.domain;
-                ret.domain_after = forged;
-                ret.note = "pop the forged frame";
-                trace.push_back(ret);
-                addFinding(res, Severity::Violation, "mc-stack-forge",
-                           s.domain, frame,
-                           "trusted-stack storage lies outside trusted "
-                           "memory: domain " + std::to_string(s.domain) +
-                               " overwrites its return frame and "
-                               "hcrets into domain " +
-                               std::to_string(forged) +
-                               " at an arbitrary address",
-                           std::move(trace));
+        if (stackInsideTmem() || !stubAllowed(d, storeStubTypes))
+            return;
+        // Forge a return into the highest other non-zero domain.
+        const DomainId n = numDomains();
+        if (n <= 1)
+            return;
+        const DomainId forged = n - 1 != d ? n - 1 : n > 2 ? n - 2 : d;
+        Addr frame = snap.reg(GridReg::Hcsb) + 16 * (frames - 1);
+        Addr target = *ret_pc;
+        for (const auto &r : regions) {
+            if (r.domain == forged) {
+                target = r.base;
+                break;
             }
         }
+        std::vector<TraceStep> trace = ex.pathTo(id);
+        TraceStep st;
+        st.kind = TraceStep::Kind::Store;
+        st.store_addr = frame;
+        st.store_value = target;
+        st.domain_before = st.domain_after = d;
+        st.note = "forge frame return_pc";
+        trace.push_back(st);
+        st.store_addr = frame + 8;
+        st.store_value = forged;
+        st.note = "forge frame source domain";
+        trace.push_back(st);
+        TraceStep ret;
+        ret.kind = TraceStep::Kind::GateRet;
+        ret.pc = *ret_pc;
+        ret.in_image = true;
+        ret.domain_before = d;
+        ret.domain_after = forged;
+        ret.note = "pop the forged frame";
+        trace.push_back(ret);
+        addFinding(Severity::Violation, "mc-stack-forge", d, frame,
+                   "trusted-stack storage lies outside trusted "
+                   "memory: domain " + std::to_string(d) +
+                       " overwrites its return frame and "
+                       "hcrets into domain " + std::to_string(forged) +
+                       " at an arbitrary address",
+                   std::move(trace));
     }
 
+    /** An SGT entry whose raw dest_domain names no configured domain. */
     void
-    expand(std::uint32_t id, std::deque<std::uint32_t> &frontier,
-           McResult &res)
+    gateFault(std::uint32_t from, GateId gid)
     {
-        const unsigned depth = nodes[id].depth;
-        if (depth >= options.depth_bound)
+        const DomainId d = ex.domain(from);
+        const SgtEntry &entry = ex.gates()[gid].entry;
+        TraceStep step = ex.gateStep(gid, d, d);
+        step.expect = FaultType::GateFault;
+        step.note = "dest_domain word out of range";
+        std::vector<TraceStep> trace = ex.pathTo(from);
+        trace.push_back(std::move(step));
+        addFinding(Severity::Violation, "mc-gate-dest-domain", d,
+                   entry.gate_addr,
+                   "SGT entry " + std::to_string(gid) +
+                       " holds raw dest_domain " +
+                       std::to_string(entry.dest_domain) + " with only " +
+                       std::to_string(numDomains()) +
+                       " domains configured: the PCU must gate-fault "
+                       "instead of switching into an unconfigured "
+                       "domain",
+                   std::move(trace));
+    }
+
+    /** Domain-0 escalation: a gate from a non-zero domain into 0. */
+    void
+    gateEntered(std::uint32_t from, GateId gid, DomainId dest)
+    {
+        const DomainId d = ex.domain(from);
+        if (dest != 0 || d == 0)
             return;
-        const DomainId d = nodes[id].state.domain;
-        const DomainId domains = numDomains();
+        Severity sev = options.domain0_entry_violation ? Severity::Violation
+                                                       : Severity::Warning;
+        std::vector<TraceStep> trace = ex.pathTo(from);
+        trace.push_back(ex.gateStep(gid, d, dest));
+        addFinding(sev, "mc-domain0-entry", d,
+                   ex.gates()[gid].entry.gate_addr,
+                   "gate " + std::to_string(gid) +
+                       " hands domain-0 privileges to any "
+                       "domain that executes it — legitimate "
+                       "only for trusted-stack management paths",
+                   std::move(trace));
+    }
 
-        // --- gate calls: executable from every domain (Section 4.2
-        // grants the gate instruction types to all domains; the SGT,
-        // not the caller, names the destination) ---
-        for (GateId gid = 0; gid < gates.size(); ++gid) {
-            const GateInfo &g = gates[gid];
-            if (!g.usable)
-                continue;
-            if (d != 0 && g.type != invalidInstType &&
-                !policy.instAllowed(d, g.type))
-                continue;
-            ++res.stats.transitions;
-            TraceStep step;
-            step.kind = g.extended ? TraceStep::Kind::GateCallS
-                                   : TraceStep::Kind::GateCall;
-            step.pc = g.entry.gate_addr;
-            step.in_image = true;
-            step.gate = gid;
-            step.seed.emplace_back(g.rs1, gid);
-            step.domain_before = d;
-
-            if (domains != 0 && g.entry.dest_domain >= domains) {
-                step.expect = FaultType::GateFault;
-                step.domain_after = d;
-                step.note = "dest_domain word out of range";
-                std::vector<TraceStep> trace = pathTo(id);
-                trace.push_back(std::move(step));
-                addFinding(
-                    res, Severity::Violation, "mc-gate-dest-domain", d,
-                    g.entry.gate_addr,
-                    "SGT entry " + std::to_string(gid) +
-                        " holds raw dest_domain " +
-                        std::to_string(g.entry.dest_domain) +
-                        " with only " + std::to_string(domains) +
-                        " domains configured: the PCU must gate-fault "
-                        "instead of switching into an unconfigured "
-                        "domain",
-                    std::move(trace));
+    /** Bit-maskable CSR writes the policy permits. */
+    void
+    expand(std::uint32_t id)
+    {
+        const DomainId d = ex.domain(id);
+        if (d == 0)
+            return;
+        for (std::size_t m = 0; m < maskables.size(); ++m) {
+            const MaskableCsr &mc = maskables[m];
+            if (!stubAllowed(d, csrStubTypes[m])) {
+                // The write instruction's own type (or the li feeding
+                // it) is revoked for this domain: the PCU
+                // inst-privilege-faults before the CSR check, so no
+                // write of any kind can happen.
                 continue;
             }
-            DomainId dest = DomainId(g.entry.dest_domain);
-            step.domain_after = dest;
-
-            State succ = nodes[id].state;
-            succ.domain = dest;
-            if (g.extended) {
-                if (succ.stack.size() >= stackCapacity())
-                    continue; // overflow: PCU trusted-stack-faults
-                succ.stack.push_back(
-                    {g.entry.gate_addr + g.length, d});
-            }
-
-            if (dest == 0 && d != 0) {
-                Severity sev = options.domain0_entry_violation
-                                   ? Severity::Violation
-                                   : Severity::Warning;
-                std::vector<TraceStep> trace = pathTo(id);
-                trace.push_back(step);
-                addFinding(res, sev, "mc-domain0-entry", d,
-                           g.entry.gate_addr,
-                           "gate " + std::to_string(gid) +
-                               " hands domain-0 privileges to any "
-                               "domain that executes it — legitimate "
-                               "only for trusted-stack management "
-                               "paths",
-                           std::move(trace));
-            }
-            discover(succ, id, std::move(step), depth + 1, frontier,
-                     res);
-        }
-
-        // --- hcrets: pops the trusted stack when the domain owns an
-        // hcrets site and the popped frame is acceptable ---
-        auto sites = retSites.find(d);
-        if (sites != retSites.end() && !sites->second.empty() &&
-            !nodes[id].state.stack.empty()) {
-            const RetSite *site = nullptr;
-            for (const RetSite &c : sites->second) {
-                if (d == 0 || c.type == invalidInstType ||
-                    policy.instAllowed(d, c.type)) {
-                    site = &c;
-                    break;
-                }
-            }
-            const Frame top = nodes[id].state.stack.back();
-            if (site != nullptr && top.src != 0 &&
-                (domains == 0 || top.src < domains)) {
-                ++res.stats.transitions;
-                State succ = nodes[id].state;
-                succ.stack.pop_back();
-                succ.domain = top.src;
-                TraceStep step;
-                step.kind = TraceStep::Kind::GateRet;
-                step.pc = site->pc;
-                step.in_image = true;
-                step.domain_before = d;
-                step.domain_after = top.src;
-                discover(succ, id, std::move(step), depth + 1, frontier,
-                         res);
-            }
-        }
-
-        // --- bit-maskable CSR writes the policy permits ---
-        if (d != 0) {
-            for (std::size_t m = 0; m < maskables.size(); ++m) {
-                const MaskableCsr &mc = maskables[m];
-                if (!stubAllowed(d, csrStubTypes[m])) {
-                    // The write instruction's own type (or the li
-                    // feeding it) is revoked for this domain: the PCU
-                    // inst-privilege-faults before the CSR check, so
-                    // no write of any kind can happen.
-                    continue;
-                }
-                if (mc.bitmap_index != invalidCsrIndex &&
-                    policy.csrWriteAllowed(d, mc.bitmap_index)) {
-                    // Authorized full write: the value is no longer
-                    // the boot value, but no mask composition is
-                    // involved.
-                    ++res.stats.transitions;
-                    State succ = nodes[id].state;
-                    succ.csrs[m].known = 0;
+            if (mc.bitmap_index != invalidCsrIndex &&
+                policy.csrWriteAllowed(d, mc.bitmap_index)) {
+                // Authorized full write: the value is no longer the
+                // boot value, but no mask composition is involved.
+                ex.successor(id)[2 * m] = 0;
+                ex.follow(*this, id, [&] {
                     TraceStep step;
                     step.kind = TraceStep::Kind::CsrWrite;
                     step.csr_addr = mc.addr;
                     step.flip = 0;
                     step.domain_before = step.domain_after = d;
                     step.note = "full write privilege";
-                    discover(succ, id, std::move(step), depth + 1,
-                             frontier, res);
-                    continue;
-                }
-                RegVal mask = policy.mask(d, mc.mask_index);
-                if (mask == 0)
-                    continue;
-                ++res.stats.transitions;
-                State succ = nodes[id].state;
-                succ.csrs[m].known &= ~mask;
-                succ.csrs[m].dirty |= mask;
+                    return step;
+                });
+                continue;
+            }
+            if (mc.bitmap_index != invalidCsrIndex &&
+                !policy.csrOnBus(d, mc.bitmap_index))
+                continue; // the bitmap walk faults before the mask
+            RegVal mask = policy.mask(d, mc.mask_index);
+            if (mask == 0)
+                continue;
+            RegVal *succ = ex.successor(id);
+            succ[2 * m] &= ~mask;
+            succ[2 * m + 1] |= mask;
+            const RegVal dirty = succ[2 * m + 1];
+            const RegVal escaped = dirty & ~mask;
+            std::uint32_t succ_id = ex.follow(*this, id, [&] {
                 TraceStep step;
                 step.kind = TraceStep::Kind::CsrWrite;
                 step.csr_addr = mc.addr;
@@ -766,25 +576,22 @@ struct ModelChecker::Impl
                 step.masked = true;
                 step.domain_before = step.domain_after = d;
                 step.note = "bit-mask write, mask " + hexAddr(mask);
-                RegVal escaped = succ.csrs[m].dirty & ~mask;
-                std::uint32_t succ_id = discover(
-                    succ, id, step, depth + 1, frontier, res);
-                if (escaped != 0 && succ_id != ~0u) {
-                    // Write-composition escalation: the chain of
-                    // masked writes flips bits the final writer's own
-                    // mask does not cover — a combined change no
-                    // single domain was granted.
-                    addFinding(
-                        res, Severity::Violation, "mc-mask-composition",
-                        d, mc.addr,
-                        "masked writes compose across domains: CSR " +
-                            hexAddr(mc.addr) + " accumulates flips " +
-                            hexAddr(succ.csrs[m].dirty) +
-                            " of which " + hexAddr(escaped) +
-                            " exceed the final writer's mask " +
-                            hexAddr(mask),
-                        pathTo(succ_id));
-                }
+                return step;
+            });
+            if (escaped != 0 && succ_id != Explorer::none) {
+                // Write-composition escalation: the chain of masked
+                // writes flips bits the final writer's own mask does
+                // not cover — a combined change no single domain was
+                // granted.
+                addFinding(Severity::Violation, "mc-mask-composition", d,
+                           mc.addr,
+                           "masked writes compose across domains: CSR " +
+                               hexAddr(mc.addr) + " accumulates flips " +
+                               hexAddr(dirty) + " of which " +
+                               hexAddr(escaped) +
+                               " exceed the final writer's mask " +
+                               hexAddr(mask),
+                           ex.pathTo(succ_id));
             }
         }
     }
@@ -796,14 +603,14 @@ struct ModelChecker::Impl
      * reach-path (the last step carries the expected fault).
      */
     void
-    siteFinding(McResult &res, std::uint32_t node, Severity severity,
+    siteFinding(std::uint32_t node, Severity severity,
                 std::string check, DomainId domain, Addr addr,
                 std::string message, std::vector<TraceStep> extra)
     {
-        std::vector<TraceStep> trace = pathTo(node);
+        std::vector<TraceStep> trace = ex.pathTo(node);
         for (auto &s : extra)
             trace.push_back(std::move(s));
-        addFinding(res, severity, std::move(check), domain, addr,
+        addFinding(severity, std::move(check), domain, addr,
                    std::move(message), std::move(trace));
     }
 
@@ -824,8 +631,7 @@ struct ModelChecker::Impl
     }
 
     void
-    scanRegion(const CodeRegion &region, std::uint32_t node,
-               McResult &res)
+    scanRegion(const CodeRegion &region, std::uint32_t node)
     {
         const DomainId d = region.domain;
         // Runtime code injection: byte stores to addresses outside
@@ -838,10 +644,8 @@ struct ModelChecker::Impl
             const ConstTracker &consts = *step.consts;
             const Addr pc = step.pc;
 
-            if (inst.cls == InstClass::GateRet) {
-                retSites[d].push_back({pc, inst.type});
+            if (inst.cls == InstClass::GateRet)
                 return; // modelled as transitions, not site findings
-            }
             if (d == 0)
                 return; // domain-0 passes every PCU check
 
@@ -849,40 +653,43 @@ struct ModelChecker::Impl
             // bitmap, then gates, then CSR access, then memory.
             if (inst.type != invalidInstType &&
                 !policy.instAllowed(d, inst.type)) {
-                siteFinding(
-                    res, node, Severity::Violation, "mc-inst-privilege",
-                    d, pc,
-                    std::string(inst.mnemonic) +
-                        " (type " + std::to_string(inst.type) +
-                        ") is denied by the domain's instruction "
-                        "bitmap",
-                    {instStep(pc, d, FaultType::InstPrivilege, inst,
-                              consts)});
+                FaultType fault = instFault(d);
+                siteFinding(node, Severity::Violation, "mc-inst-privilege",
+                            d, pc,
+                            std::string(inst.mnemonic) + " (type " +
+                                std::to_string(inst.type) +
+                                (fault == FaultType::MemoryFault
+                                     ? ") is checked against an "
+                                       "instruction bitmap outside "
+                                       "physical memory"
+                                     : ") is denied by the domain's "
+                                       "instruction bitmap"),
+                            {instStep(pc, d, fault, inst, consts)});
                 return;
             }
 
             if (inst.cls == InstClass::GateCall ||
                 inst.cls == InstClass::GateCallS) {
-                scanGateSite(res, node, d, pc, inst, consts);
+                scanGateSite(node, d, pc, inst, consts);
                 return;
             }
 
             if (inst.cls == InstClass::CsrRead ||
                 inst.cls == InstClass::CsrWrite) {
-                scanCsrSite(res, node, d, pc, inst, consts);
+                scanCsrSite(node, d, pc, inst, consts);
                 return;
             }
 
             if (inst.cls == InstClass::Store ||
                 inst.cls == InstClass::Load) {
-                scanMemSite(res, node, d, pc, inst, consts, injected,
+                scanMemSite(node, d, pc, inst, consts, injected,
                             injectors);
                 return;
             }
 
             if (inst.cls == InstClass::Jump) {
                 if (auto target = jumpTarget(inst, consts, pc)) {
-                    scanJumpTarget(res, node, d, pc, inst, consts,
+                    scanJumpTarget(node, d, pc, inst, consts,
                                    *target, injected, injectors);
                 }
             }
@@ -891,7 +698,7 @@ struct ModelChecker::Impl
     }
 
     void
-    scanGateSite(McResult &res, std::uint32_t node, DomainId d, Addr pc,
+    scanGateSite(std::uint32_t node, DomainId d, Addr pc,
                  const DecodedInst &inst, const ConstTracker &consts)
     {
         auto reg_id = consts.value(inst.rs1);
@@ -899,9 +706,9 @@ struct ModelChecker::Impl
         if (at != gateAt.end()) {
             if (!reg_id || *reg_id == at->second)
                 return; // a modelled, registered gate edge
-            TraceStep step = instStep(pc, d, FaultType::GateFault, inst,
+            TraceStep step = instStep(pc, d, gateCallFault(*reg_id), inst,
                                       consts);
-            siteFinding(res, node, Severity::Violation,
+            siteFinding(node, Severity::Violation,
                         "mc-gate-id-mismatch", d, pc,
                         "gate id " + std::to_string(*reg_id) +
                             " does not name the SGT entry registered "
@@ -911,19 +718,19 @@ struct ModelChecker::Impl
         }
         // Unregistered gate address: property (i) faults it for every
         // id — in range (gate_addr mismatch) or out of range.
-        TraceStep step = instStep(pc, d, FaultType::GateFault, inst,
-                                  consts);
+        TraceStep step = instStep(pc, d, gateCallFault(reg_id.value_or(0)),
+                                  inst, consts);
         if (!reg_id)
             step.seed.emplace_back(inst.rs1, 0);
         if (reg_id && *reg_id >= policy.numGates()) {
-            siteFinding(res, node, Severity::Violation,
+            siteFinding(node, Severity::Violation,
                         "mc-gate-id-range", d, pc,
                         "gate id " + std::to_string(*reg_id) +
                             " out of range (gatenr " +
                             std::to_string(policy.numGates()) + ")",
                         {std::move(step)});
         } else {
-            siteFinding(res, node, Severity::Violation, "mc-gate-forged",
+            siteFinding(node, Severity::Violation, "mc-gate-forged",
                         d, pc,
                         std::string(inst.mnemonic) +
                             " at an address registered in no SGT "
@@ -933,7 +740,7 @@ struct ModelChecker::Impl
     }
 
     void
-    scanCsrSite(McResult &res, std::uint32_t node, DomainId d, Addr pc,
+    scanCsrSite(std::uint32_t node, DomainId d, Addr pc,
                 const DecodedInst &inst, const ConstTracker &consts)
     {
         std::uint32_t csr = inst.csr_addr;
@@ -943,8 +750,7 @@ struct ModelChecker::Impl
         }
         const bool is_write = inst.cls == InstClass::CsrWrite;
         if (csr == ~0u) {
-            siteFinding(res, node, Severity::Warning,
-                        "mc-csr-unresolved", d, pc,
+            siteFinding(node, Severity::Warning, "mc-csr-unresolved", d, pc,
                         std::string(inst.mnemonic) +
                             " accesses a CSR whose address could not "
                             "be resolved statically",
@@ -956,14 +762,13 @@ struct ModelChecker::Impl
             if (!is_write &&
                 (gr == GridReg::Domain || gr == GridReg::PDomain))
                 return; // readable from every domain
-            siteFinding(
-                res, node, Severity::Violation, "mc-grid-reg", d, pc,
-                std::string(inst.mnemonic) + (is_write ? " writes"
-                                                       : " reads") +
-                    std::string(" ISA-Grid register ") +
-                    gridRegName(gr) + " outside domain-0",
-                {instStep(pc, d, FaultType::CsrPrivilege, inst,
-                          consts)});
+            siteFinding(node, Severity::Violation, "mc-grid-reg", d, pc,
+                        std::string(inst.mnemonic) +
+                            (is_write ? " writes" : " reads") +
+                            " ISA-Grid register " + gridRegName(gr) +
+                            " outside domain-0",
+                        {instStep(pc, d, FaultType::CsrPrivilege, inst,
+                                  consts)});
             return;
         }
         if (!probe.csrs.exists(csr))
@@ -971,45 +776,56 @@ struct ModelChecker::Impl
         CsrIndex index = isa.csrBitmapIndex(csr);
         if (index == invalidCsrIndex)
             return; // uncontrolled CSR
+        // A register-bitmap or bit-mask walk off the bus faults in
+        // place of the check's verdict.
+        const bool bitmap_on_bus = policy.csrOnBus(d, index);
+        auto denied = [&](const char *check, const char *missing_bit) {
+            siteFinding(node, Severity::Violation, check, d, pc,
+                        std::string(inst.mnemonic) +
+                            (is_write ? " writes CSR " : " reads CSR ") +
+                            hexAddr(csr) +
+                            (bitmap_on_bus ? missing_bit
+                                           : " from a register bitmap "
+                                             "outside physical memory"),
+                        {instStep(pc, d,
+                                  bitmap_on_bus ? FaultType::CsrPrivilege
+                                                : FaultType::MemoryFault,
+                                  inst, consts)});
+        };
         if (!is_write) {
-            if (policy.csrReadAllowed(d, index))
-                return;
-            siteFinding(res, node, Severity::Violation, "mc-csr-read",
-                        d, pc,
-                        std::string(inst.mnemonic) + " reads CSR " +
-                            hexAddr(csr) + " without the read bit",
-                        {instStep(pc, d, FaultType::CsrPrivilege, inst,
-                                  consts)});
+            if (!policy.csrReadAllowed(d, index))
+                denied("mc-csr-read", " without the read bit");
             return;
         }
         if (policy.csrWriteAllowed(d, index))
             return;
         CsrIndex mi = isa.csrMaskIndex(csr);
-        if (mi == invalidCsrIndex) {
-            siteFinding(res, node, Severity::Violation, "mc-csr-write",
-                        d, pc,
-                        std::string(inst.mnemonic) + " writes CSR " +
-                            hexAddr(csr) + " without the write bit",
-                        {instStep(pc, d, FaultType::CsrPrivilege, inst,
-                                  consts)});
+        if (mi == invalidCsrIndex || !bitmap_on_bus) {
+            denied("mc-csr-write", " without the write bit");
             return;
         }
-        RegVal mask = policy.mask(d, mi);
-        if (mask == 0) {
-            siteFinding(
-                res, node, Severity::Violation, "mc-csr-mask", d, pc,
-                std::string(inst.mnemonic) + " writes bit-maskable "
-                    "CSR " + hexAddr(csr) + " with an all-zero mask: "
-                    "any change to the value is rejected",
-                {instStep(pc, d, FaultType::CsrMaskViolation, inst,
-                          consts, "bit-mask equation rejects")});
+        if (!policy.maskOnBus(d, mi)) {
+            siteFinding(node, Severity::Violation, "mc-csr-mask", d, pc,
+                        std::string(inst.mnemonic) + " writes bit-maskable "
+                            "CSR " + hexAddr(csr) + " through a bit-mask "
+                            "outside physical memory",
+                        {instStep(pc, d, FaultType::MemoryFault, inst,
+                                  consts)});
+        } else if (policy.mask(d, mi) == 0) {
+            siteFinding(node, Severity::Violation, "mc-csr-mask", d, pc,
+                        std::string(inst.mnemonic) + " writes bit-maskable "
+                            "CSR " + hexAddr(csr) + " with an all-zero "
+                            "mask: any change to the value is rejected",
+                        {instStep(pc, d, FaultType::CsrMaskViolation,
+                                  inst, consts,
+                                  "bit-mask equation rejects")});
         }
         // mask != 0: legality depends on the live CSR value — the
         // masked-write transitions model the permitted outcomes.
     }
 
     void
-    scanMemSite(McResult &res, std::uint32_t node, DomainId d, Addr pc,
+    scanMemSite(std::uint32_t node, DomainId d, Addr pc,
                 const DecodedInst &inst, const ConstTracker &consts,
                 std::map<Addr, std::uint8_t> &injected,
                 std::map<Addr, TraceStep> &injectors)
@@ -1033,13 +849,12 @@ struct ModelChecker::Impl
         if (size == 0 || size > 8)
             size = 8;
         if (inTmem(addr, size)) {
-            siteFinding(
-                res, node, Severity::Violation, "mc-tmem-access", d, pc,
-                std::string(inst.mnemonic) +
-                    (is_store ? " stores into" : " loads from") +
-                    " trusted memory at " + hexAddr(addr),
-                {instStep(pc, d, FaultType::TrustedMemoryViolation,
-                          inst, consts)});
+            siteFinding(node, Severity::Violation, "mc-tmem-access", d, pc,
+                        std::string(inst.mnemonic) +
+                            (is_store ? " stores into" : " loads from") +
+                            " trusted memory at " + hexAddr(addr),
+                        {instStep(pc, d, FaultType::TrustedMemoryViolation,
+                                  inst, consts)});
             return;
         }
         if (!is_store || regionOf(addr) != nullptr)
@@ -1082,7 +897,7 @@ struct ModelChecker::Impl
     }
 
     void
-    scanJumpTarget(McResult &res, std::uint32_t node, DomainId d,
+    scanJumpTarget(std::uint32_t node, DomainId d,
                    Addr pc, const DecodedInst &inst,
                    const ConstTracker &consts, Addr target,
                    const std::map<Addr, std::uint8_t> &injected,
@@ -1114,7 +929,7 @@ struct ModelChecker::Impl
         if (r != nullptr) {
             if (boundariesOf(*r).count(target))
                 return; // lands on a real instruction: modelled as code
-            hiddenInstFinding(res, node, d, pc, target, std::move(jump));
+            hiddenInstFinding(node, d, pc, target, std::move(jump));
             return;
         }
 
@@ -1127,7 +942,7 @@ struct ModelChecker::Impl
             land.in_image = true;
             land.expect = FaultType::MemoryFault;
             land.domain_before = land.domain_after = d;
-            siteFinding(res, node, Severity::Violation,
+            siteFinding(node, Severity::Violation,
                         "mc-jump-outside", d, pc,
                         "control transfer to " + hexAddr(target) +
                             ", beyond physical memory",
@@ -1161,7 +976,7 @@ struct ModelChecker::Impl
             land.expect = FaultType::IllegalInstruction;
             land.domain_before = land.domain_after = d;
             extra.push_back(std::move(land));
-            siteFinding(res, node, Severity::Violation,
+            siteFinding(node, Severity::Violation,
                         "mc-jump-outside", d, pc,
                         "control transfer to " + hexAddr(target) +
                             ", outside every known code region "
@@ -1184,17 +999,17 @@ struct ModelChecker::Impl
                             : TraceStep::Kind::GateCall;
             gate.pc = target;
             gate.in_image = true;
-            gate.expect = denied ? FaultType::InstPrivilege
-                                 : FaultType::GateFault;
-            gate.domain_before = gate.domain_after = d;
             RegVal id = 0;
             if (auto v = consts.value(hidden.rs1))
                 id = *v;
+            gate.expect = denied ? instFault(d)
+                                 : gateCallFault(id);
+            gate.domain_before = gate.domain_after = d;
             gate.gate = GateId(id);
             gate.seed.emplace_back(hidden.rs1, id);
             gate.note = "injected gate at an unregistered address";
             extra.push_back(std::move(gate));
-            siteFinding(res, node, Severity::Violation,
+            siteFinding(node, Severity::Violation,
                         "mc-injected-gate", d, pc,
                         "runtime-written " +
                             std::string(hidden.mnemonic) + " at " +
@@ -1216,10 +1031,10 @@ struct ModelChecker::Impl
             land.kind = TraceStep::Kind::Inst;
             land.pc = target;
             land.in_image = true;
-            land.expect = FaultType::InstPrivilege;
+            land.expect = instFault(d);
             land.domain_before = land.domain_after = d;
             extra.push_back(std::move(land));
-            siteFinding(res, node, Severity::Violation,
+            siteFinding(node, Severity::Violation,
                         "mc-jump-outside", d, pc,
                         "control transfer to denied " +
                             std::string(hidden.mnemonic) + " at " +
@@ -1231,7 +1046,7 @@ struct ModelChecker::Impl
 
     /** A transfer into a non-boundary offset of a known region. */
     void
-    hiddenInstFinding(McResult &res, std::uint32_t node, DomainId d,
+    hiddenInstFinding(std::uint32_t node, DomainId d,
                       Addr pc, Addr target, TraceStep jump)
     {
         std::uint8_t buf[16] = {};
@@ -1247,7 +1062,7 @@ struct ModelChecker::Impl
         land.domain_before = land.domain_after = d;
         if (!hidden.valid) {
             land.expect = FaultType::IllegalInstruction;
-            siteFinding(res, node, Severity::Violation,
+            siteFinding(node, Severity::Violation,
                         "mc-hidden-inst", d, pc,
                         "control transfer to " + hexAddr(target) +
                             ", a non-boundary offset holding "
@@ -1257,9 +1072,9 @@ struct ModelChecker::Impl
         }
         if (hidden.type != invalidInstType &&
             !policy.instAllowed(d, hidden.type)) {
-            land.expect = FaultType::InstPrivilege;
+            land.expect = instFault(d);
             land.note = std::string("unintended ") + hidden.mnemonic;
-            siteFinding(res, node, Severity::Violation,
+            siteFinding(node, Severity::Violation,
                         "mc-hidden-inst", d, pc,
                         "control transfer to unintended " +
                             std::string(hidden.mnemonic) + " at " +
@@ -1272,7 +1087,7 @@ struct ModelChecker::Impl
         if (hidden.cls == InstClass::GateCall ||
             hidden.cls == InstClass::GateCallS ||
             hidden.cls == InstClass::GateRet) {
-            siteFinding(res, node, Severity::Warning, "mc-hidden-gate",
+            siteFinding(node, Severity::Warning, "mc-hidden-gate",
                         d, pc,
                         "control transfer to an unintended " +
                             std::string(hidden.mnemonic) + " at " +
@@ -1285,23 +1100,12 @@ struct ModelChecker::Impl
     McResult
     runAll()
     {
-        McResult res;
-        std::deque<std::uint32_t> frontier;
-
-        State init;
-        init.domain = initialDomain;
-        init.csrs.assign(maskables.size(), CsrAbs{});
-        discover(init, ~0u, TraceStep{}, 0, frontier, res);
-
-        while (!frontier.empty()) {
-            if (frontier.size() > res.stats.peak_frontier)
-                res.stats.peak_frontier = frontier.size();
-            std::uint32_t id = frontier.front();
-            frontier.pop_front();
-            expand(id, frontier, res);
-        }
-        res.stats.states = nodes.size();
-        return res;
+        std::vector<RegVal> init;
+        for (std::size_t m = 0; m < maskables.size(); ++m)
+            init.insert(init.end(), {~RegVal{0}, 0});
+        static_cast<ExplorerStats &>(res.stats) =
+            ex.run(*this, initialDomain, init);
+        return std::move(res);
     }
 };
 

@@ -17,17 +17,16 @@
  *                 CSR: `known` bits still guaranteed to equal their
  *                 boot value, `dirty` bits possibly flipped through
  *                 bit-mask writes)
- *   transitions = every SGT-registered hccall/hccalls edge (gates are
- *                 executable from *any* current domain — the hardware
- *                 has no per-domain gate ownership, Section 4.2), the
- *                 hcrets pop when the domain owns an hcrets site, and
- *                 every write to a bit-maskable CSR the domain's
- *                 double-bitmap or bit-mask permits (a masked write
- *                 clears `known` and sets `dirty` over the mask bits;
- *                 an authorized full write clears `known` only).
+ *   transitions = the domain switches — every SGT-registered
+ *                 hccall/hccalls edge and the hcrets pops — walked
+ *                 breadth-first by the explorer (modelcheck/explorer.hh)
+ *                 the contract checker shares, plus every write to a
+ *                 bit-maskable CSR the domain's double-bitmap or
+ *                 bit-mask permits (a masked write clears `known` and
+ *                 sets `dirty` over the mask bits; an authorized full
+ *                 write clears `known` only).
  *
- * The space is explored breadth-first under a depth bound with state
- * hashing. Properties checked over the reachable states:
+ * Properties checked over the reachable states:
  *
  *  - write-composition escalation (mc-mask-composition): a chain of
  *    masked writes by different domains flips a set of bits no single
@@ -123,14 +122,19 @@ struct McViolation
     std::vector<TraceStep> trace;
 };
 
-/** Exploration statistics (also the bench_mc_statespace payload). */
-struct McStats
+/** Counters of the domain-switch explorer (explorer.hh). */
+struct ExplorerStats
 {
     std::size_t states = 0;       //!< distinct states discovered
     std::size_t transitions = 0;  //!< edges taken (incl. revisits)
     std::size_t peak_frontier = 0;
     unsigned depth_reached = 0;
     bool state_cap_hit = false;
+};
+
+/** Exploration statistics (also the bench_mc_statespace payload). */
+struct McStats : ExplorerStats
+{
     std::size_t domains_scanned = 0; //!< domains whose code was scanned
 };
 

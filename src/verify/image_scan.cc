@@ -186,6 +186,8 @@ PolicyView::instAllowed(DomainId domain, InstTypeId type) const
 {
     if (domain == 0)
         return true;
+    if (!instOnBus(domain))
+        return false;
     Addr addr = hpt.instWordAddr(snap.reg(GridReg::InstCap), domain,
                                  HptLayout::instGroupOf(type));
     return (word(addr) >> HptLayout::instBitOf(type)) & 1;
@@ -227,12 +229,46 @@ PolicyView::gate(GateId id) const
     return {word(a), word(a + 8), word(a + 16)};
 }
 
+bool
+PolicyView::instOnBus(DomainId domain) const
+{
+    if (domain == 0)
+        return true; // domain-0 is never checked
+    Addr base = snap.reg(GridReg::InstCap);
+    for (std::uint32_t g = 0; g < hpt.numInstGroups(); ++g) {
+        if (!onBus(hpt.instWordAddr(base, domain, g)))
+            return false;
+    }
+    return true;
+}
+
+bool
+PolicyView::csrOnBus(DomainId domain, CsrIndex index) const
+{
+    return domain == 0 ||
+           onBus(hpt.regWordAddr(snap.reg(GridReg::CsrCap), domain,
+                                 HptLayout::regGroupOf(index)));
+}
+
+bool
+PolicyView::maskOnBus(DomainId domain, CsrIndex mask_index) const
+{
+    return domain == 0 ||
+           onBus(hpt.maskAddr(snap.reg(GridReg::CsrBitMask), domain,
+                              mask_index));
+}
+
+bool
+PolicyView::gateOnBus(GateId id) const
+{
+    return onBus(sgtEntryAddr(snap.reg(GridReg::GateAddr), id),
+                 SgtEntry::sizeBytes);
+}
+
 RegVal
 PolicyView::word(Addr addr) const
 {
-    if (addr + 8 > mem.size() || addr + 8 < addr)
-        return 0;
-    return mem.read64(addr);
+    return onBus(addr) ? mem.read64(addr) : 0;
 }
 
 // ---------------------------------------------------------------------

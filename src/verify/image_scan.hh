@@ -105,10 +105,12 @@ class ConstTracker
 
 /**
  * Reads the HPT and SGT from guest memory through the snapshot's base
- * registers, exactly as the PCU would on a privilege-cache miss.
- * Out-of-memory table addresses read as zero (deny; the PCU raises
- * MemoryFault on them): the structural checks report the broken base
- * register separately.
+ * registers, exactly as the PCU would on a privilege-cache miss. The
+ * PCU raises MemoryFault for a walk that leaves physical memory
+ * (docs/isa_extension.md §6): the *OnBus queries say whether a check's
+ * walk stays on the bus, and the verdict queries read a walk off the
+ * bus as deny. The structural checks report the broken base register
+ * separately.
  */
 class PolicyView
 {
@@ -133,9 +135,28 @@ class PolicyView
 
     SgtEntry gate(GateId id) const;
 
+    /**
+     * The instruction checks' walk lies in memory: the domain's whole
+     * instruction-bitmap row, which the PCU's bypass register (on by
+     * default) refills from. Without the bypass the PCU reads only the
+     * checked word; the two differ only for a row of more than one
+     * word, and both ISA models fit their types in one.
+     */
+    bool instOnBus(DomainId domain) const;
+    /** The CSR checks' register-bitmap word lies in memory. */
+    bool csrOnBus(DomainId domain, CsrIndex index) const;
+    /** The bit-mask word lies in memory. */
+    bool maskOnBus(DomainId domain, CsrIndex mask_index) const;
+    /** SGT entry @p id lies in memory. */
+    bool gateOnBus(GateId id) const;
+
     const HptLayout &layout() const { return hpt; }
 
   private:
+    bool onBus(Addr addr, std::uint64_t size = 8) const
+    {
+        return addr < mem.size() && mem.size() - addr >= size;
+    }
     RegVal word(Addr addr) const;
 
     const PhysMem &mem;

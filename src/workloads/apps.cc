@@ -1,5 +1,7 @@
 #include "workloads/apps.hh"
 
+#include <algorithm>
+
 #include "kernel/asm_iface.hh"
 #include "kernel/layout.hh"
 #include "sim/logging.hh"
@@ -228,7 +230,8 @@ buildApp(Machine &machine, const AppProfile &profile)
         a.bind(join);
     };
 
-    a.li(u0, profile.total_blocks / unroll);
+    // At least one pass: a zero count would make loopDec wrap.
+    a.li(u0, std::max(1u, profile.total_blocks / unroll));
     auto outer = a.newLabel();
     a.bind(outer);
     for (unsigned copy = 0; copy < unroll; ++copy) {

@@ -34,7 +34,8 @@ struct AppProfile
     std::uint64_t working_set = 256 * 1024; //!< bytes (power of two)
     unsigned blocks_per_syscall = 8; //!< kernel-entry density
     std::vector<Sys> syscall_mix;    //!< rotated round-robin
-    unsigned total_blocks = 20000;   //!< run length
+    unsigned total_blocks = 20000;   //!< run length (rounded down to
+                                     //!< a multiple of 8, at least 8)
     std::uint64_t seed = 0x5eed;
 
     /** Database engine: frequent read/write/stat, mixed compute. */

@@ -88,6 +88,13 @@ struct MinprivCase
     Cycle timer;
 };
 
+// gtest would print the raw bytes, pointers included, into the ctest
+// name, which then changes with every load address. Print the name.
+void PrintTo(const MinprivCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class MinprivMatrix : public ::testing::TestWithParam<MinprivCase>
 {
 };

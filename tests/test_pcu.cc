@@ -14,6 +14,7 @@
 #include "isagrid/pcu.hh"
 #include "isagrid/privilege_set.hh"
 #include "mem/phys_mem.hh"
+#include "verify/image_scan.hh"
 
 using namespace isagrid;
 using namespace isagrid::riscv;
@@ -762,6 +763,56 @@ TEST(PcuBus, OffBusTrustedStackFaultsWithoutSwitching)
 
     PerfFrame frames[4];
     EXPECT_EQ(env.pcu.trustedStackFrames(frames, 4), 0u);
+}
+
+TEST(PcuBus, PolicyViewPredictsTheMemoryFault)
+{
+    // The analyses' view of the tables names exactly the walks the PCU
+    // faults on, with and without the bypass register, and reads them
+    // as deny.
+    for (bool bypass : {true, false}) {
+        PcuConfig config = PcuConfig::config8E();
+        config.bypass_enabled = bypass;
+        for (GridReg reg : {GridReg::InstCap, GridReg::CsrCap,
+                            GridReg::CsrBitMask, GridReg::GateAddr}) {
+            PcuEnv env(config);
+            DomainId d = env.dm.createBaselineDomain();
+            GateId g = env.dm.registerGate(0x1000, 0x2000, d);
+            env.dm.publish();
+            env.pcu.setGridReg(reg, kOffBus);
+            PolicySnapshot snap = PolicySnapshot::fromPcu(env.pcu);
+            PolicyView view(env.isa, env.mem, snap);
+            CsrIndex sepc = env.isa.csrBitmapIndex(CSR_SEPC);
+            CsrIndex sstatus = env.isa.csrMaskIndex(CSR_SSTATUS);
+            const bool inst = reg != GridReg::InstCap;
+            const bool csr = reg != GridReg::CsrCap;
+            const bool mask = reg != GridReg::CsrBitMask;
+            const bool gate = reg != GridReg::GateAddr;
+            EXPECT_EQ(view.instOnBus(d), inst) << int(reg);
+            EXPECT_EQ(view.csrOnBus(d, sepc), csr) << int(reg);
+            EXPECT_EQ(view.maskOnBus(d, sstatus), mask) << int(reg);
+            EXPECT_EQ(view.gateOnBus(g), gate) << int(reg);
+            EXPECT_TRUE(view.instOnBus(0)) << "domain-0 is unchecked";
+            if (!inst) {
+                EXPECT_FALSE(view.instAllowed(d, IT_ADD));
+            }
+
+            env.enter(d);
+            EXPECT_EQ(env.pcu.checkInstruction(IT_ADD).fault ==
+                          FaultType::MemoryFault,
+                      !inst);
+            EXPECT_EQ(env.pcu.checkCsrRead(CSR_SEPC).fault ==
+                          FaultType::MemoryFault,
+                      !csr);
+            EXPECT_EQ(env.pcu.checkCsrWrite(CSR_SSTATUS, 0, SSTATUS_SIE)
+                              .fault == FaultType::MemoryFault,
+                      !csr || !mask);
+            env.enter(0);
+            EXPECT_EQ(env.pcu.gateCall(g, 0x1000, false).fault ==
+                          FaultType::MemoryFault,
+                      !gate);
+        }
+    }
 }
 
 TEST(PcuBus, PrivilegeSetReadsAWrappingTableAsDeny)

@@ -57,6 +57,13 @@ struct XCase
     std::function<void(X86Asm &)> emit;
 };
 
+// gtest would print the raw bytes, pointers included, into the ctest
+// name, which then changes with every load address. Print the name.
+void PrintTo(const XCase &c, std::ostream *os)
+{
+    *os << c.mnemonic;
+}
+
 class X86RoundTrip : public ::testing::TestWithParam<XCase>
 {
 };

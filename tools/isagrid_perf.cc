@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include "cli.hh"
+
 namespace {
 
 // ---------------------------------------------------------------------
@@ -706,19 +708,11 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         std::string v;
-        auto eat = [&](const char *key) {
-            std::size_t len = std::strlen(key);
-            if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-                v = arg + len + 1;
-                return true;
-            }
-            return false;
-        };
-        if (eat("--top")) {
-            opt.top = unsigned(std::stoul(v));
-        } else if (eat("--flamegraph")) {
+        if (isagrid::eatOption(arg, "--top", v)) {
+            opt.top = isagrid::countUnsigned(argv[0], v, usage);
+        } else if (isagrid::eatOption(arg, "--flamegraph", v)) {
             opt.flamegraph_file = v;
-        } else if (eat("--prom")) {
+        } else if (isagrid::eatOption(arg, "--prom", v)) {
             opt.prom_file = v;
         } else if (std::strcmp(arg, "--validate") == 0) {
             opt.validate = true;

@@ -10,7 +10,7 @@
  *     --arch=riscv|x86          target prototype       [riscv]
  *     --mode=native|decomposed|nested                  [decomposed]
  *     --workload=sqlite|mbedtls|gzip|tar|lmbench|attacks   [sqlite]
- *     --blocks=N                app run length         [24000]
+ *     --blocks=N                app run length, >= 1   [24000]
  *     --iters=N                 lmbench iterations     [200]
  *     --pcu=16e|8e|8en          privilege caches       [8e]
  *     --block-engine[=N]        run hot blocks translated (host fast
@@ -145,7 +145,7 @@ parse(int argc, char **argv)
         } else if (eatOption(argv[i], "--workload", v)) {
             opt.workload = v;
         } else if (eatOption(argv[i], "--blocks", v)) {
-            opt.blocks = countUnsigned(argv[0], v, usage);
+            opt.blocks = countUnsigned(argv[0], v, usage, 1);
         } else if (eatOption(argv[i], "--iters", v)) {
             opt.iters = countUnsigned(argv[0], v, usage);
         } else if (eatOption(argv[i], "--pcu", v)) {
