@@ -402,3 +402,70 @@ TEST(FuzzCorpus, EveryCommittedArtifactLoadsAndAgrees)
                        outcome.disagreements.front().detail);
     }
 }
+
+/**
+ * Which checks fire is locked at the coverage-key level: the key of
+ * every committed corpus artifact (every analyzer's check names and
+ * mc's state bucket) and the retained count and keys of a fixed-seed
+ * campaign per ISA (the seed-1, 48-case campaign whose counters the
+ * fuzz-mix benchmark pins). A change to any analyzer's findings shows
+ * here as a diff, not only as a benchmark mismatch. Regenerate with
+ * ISAGRID_REGEN_GOLDEN=1 after an intended change and commit the diff.
+ */
+TEST(FuzzCorpus, CoverageKeysMatchGolden)
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto &e :
+         std::filesystem::directory_iterator(corpusDir())) {
+        if (e.path().extension() == ".art")
+            files.push_back(e.path());
+    }
+    std::sort(files.begin(), files.end());
+    ASSERT_EQ(files.size(), 12u);
+
+    std::string got;
+    for (const auto &path : files) {
+        std::ifstream in(path);
+        std::stringstream buf;
+        buf << in.rdbuf();
+        FuzzArtifact artifact;
+        std::string error;
+        ASSERT_TRUE(FuzzArtifact::parse(buf.str(), artifact, error))
+            << path << ": " << error;
+        OracleOptions oracle;
+        oracle.run_contract = true;
+        got += path.filename().string() + " " +
+               runOracles(artifact, oracle).coverageKey() + "\n";
+    }
+    for (bool x86 : {false, true}) {
+        FuzzOptions options;
+        options.x86 = x86;
+        options.seed = 1;
+        options.max_iters = 48;
+        FuzzResult result = runFuzz(options);
+        const std::string isa = x86 ? "x86" : "riscv";
+        got += "campaign " + isa + " seed 1 cases " +
+               std::to_string(result.stats.cases) + " retained " +
+               std::to_string(result.stats.retained) + " coverage_keys " +
+               std::to_string(result.coverage.size()) + "\n";
+        for (const std::string &key : result.coverage)
+            got += isa + " " + key + "\n";
+    }
+
+    const std::string golden =
+        std::string(TEST_DATA_DIR) + "/coverage_keys.golden.txt";
+    if (std::getenv("ISAGRID_REGEN_GOLDEN")) {
+        std::ofstream out(golden);
+        ASSERT_TRUE(out) << "cannot write " << golden;
+        out << got;
+        GTEST_SKIP() << "regenerated " << golden;
+    }
+    std::ifstream in(golden);
+    ASSERT_TRUE(in) << "missing " << golden
+                    << " (run once with ISAGRID_REGEN_GOLDEN=1)";
+    std::stringstream want;
+    want << in.rdbuf();
+    EXPECT_EQ(got, want.str())
+        << "coverage keys drifted: an analyzer's findings changed; if "
+           "intended, regenerate with ISAGRID_REGEN_GOLDEN=1 and commit";
+}
