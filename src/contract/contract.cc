@@ -5,6 +5,7 @@
 #include "isa/state.hh"
 #include "isagrid/privilege_set.hh"
 #include "kernel/asm_iface.hh"
+#include "modelcheck/explorer.hh"
 #include "verify/report_common.hh"
 
 namespace isagrid {
@@ -62,13 +63,15 @@ dischargeMaskObserve(const ContractScenario &scenario,
     CsrFile &csrs_b = b->core().state().csrs;
     if (!csrs_a.exists(finding.csr_addr))
         return ContractVerdict::Discharged;
-    PrivilegeSet priv(a->isa(), a->mem(), a->pcu());
+    const PolicyView policy(a->isa(), a->mem(),
+                            PolicySnapshot::fromPcu(a->pcu()));
 
-    if (priv.csrReadable(finding.domain, finding.csr_addr)) {
+    if (policy.csrRead(finding.domain, finding.csr_addr).allowed()) {
         // Carried-flow case: image-grounded lockstep.
         scenario.position(*a);
         scenario.position(*b);
-        for (std::uint32_t src : priv.highCsrs(finding.domain)) {
+        for (std::uint32_t src :
+             PrivilegeSet::highCsrs(policy, finding.domain)) {
             if (csrs_b.exists(src))
                 csrs_b.write(src, ~csrs_b.read(src));
         }
@@ -90,7 +93,7 @@ dischargeMaskObserve(const ContractScenario &scenario,
     // Self-high case: direct capability probe. Position first —
     // reset() reinitialises the whole architectural state, so the
     // perturbation must land after it.
-    RegVal mask = priv.csrMask(finding.domain, finding.csr_addr);
+    RegVal mask = policy.csrMask(finding.domain, finding.csr_addr).mask;
     RegVal bit = mask & (~mask + 1);
     a->core().reset(probeBase);
     b->core().reset(probeBase);
@@ -383,10 +386,11 @@ checkContract(const ContractScenario &scenario,
             for (DomainId d = 1; d < domains; ++d)
                 targets.push_back(d);
         }
+        const SwitchImage image(probe->isa(), probe->mem(), snap,
+                                scenario.code_regions);
         for (DomainId target : targets) {
-            runRelationalCheck(probe->isa(), probe->mem(), snap,
-                               scenario.code_regions, initial, target,
-                               options, report.findings, report.stats);
+            runRelationalCheck(image, initial, target, options,
+                               report.findings, report.stats);
         }
     }
 

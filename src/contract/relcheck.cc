@@ -11,12 +11,10 @@ namespace isagrid {
 
 namespace {
 
-/** One controlled CSR with its Section 4.1 indices. */
+/** One controlled CSR. */
 struct TrackedCsr
 {
     std::uint32_t addr = 0;
-    CsrIndex bitmap_index = invalidCsrIndex;
-    CsrIndex mask_index = invalidCsrIndex;
     bool high = false; //!< outside the target's read set
 };
 
@@ -28,7 +26,7 @@ struct TrackedCsr
  */
 struct RelChecker
 {
-    const PolicyView policy;
+    const PolicyView &policy;
     DomainId target;
     std::vector<ContractFinding> &findings;
 
@@ -37,15 +35,13 @@ struct RelChecker
     Explorer ex;
     std::set<std::tuple<std::string, DomainId, std::uint32_t>> reported;
 
-    RelChecker(const IsaModel &isa, const PhysMem &mem,
-               const PolicySnapshot &snap,
-               const std::vector<CodeRegion> &regions, DomainId target,
+    RelChecker(const SwitchImage &image, DomainId target,
                const ContractOptions &options,
                std::vector<ContractFinding> &findings)
-        : policy(isa, mem, snap), target(target), findings(findings),
-          ex(isa, mem, snap, regions, options.max_states,
-             options.depth_bound)
+        : policy(image.policy), target(target), findings(findings),
+          ex(image, options.max_states, options.depth_bound)
     {
+        const IsaModel &isa = policy.isa();
         ArchState probe;
         probe.zero_reg_hardwired = isa.name() != "x86";
         isa.initState(probe);
@@ -55,14 +51,12 @@ struct RelChecker
                 continue;
             if (!probe.csrs.exists(addr))
                 continue;
+            if (isa.csrBitmapIndex(addr) == invalidCsrIndex)
+                continue;
             TrackedCsr c;
             c.addr = addr;
-            c.bitmap_index = isa.csrBitmapIndex(addr);
-            c.mask_index = isa.csrMaskIndex(addr);
-            if (c.bitmap_index == invalidCsrIndex)
-                continue;
             c.high = !PrivilegeSet::implicitInput(isa, addr) &&
-                     !policy.csrReadAllowed(target, c.bitmap_index);
+                     !policy.csrRead(target, addr).allowed();
             // The carry sets are 64-bit: cap the tracked list (both
             // ISA models control far fewer CSRs than that).
             if (csrs.size() < 64)
@@ -126,7 +120,7 @@ struct RelChecker
             // --- permitted reads: a differing value moves into the
             // reader's registers ---
             if (diff != 0 && d < carryWords &&
-                policy.csrReadAllowed(d, c.bitmap_index) &&
+                policy.csrRead(d, c.addr).allowed() &&
                 (carry & (std::uint64_t{1} << i)) == 0) {
                 ex.successor(id)[carry_word] |= std::uint64_t{1} << i;
                 ex.follow(*this, id, [&] {
@@ -141,7 +135,8 @@ struct RelChecker
             }
 
             // --- permitted writes ---
-            if (policy.csrWriteAllowed(d, c.bitmap_index)) {
+            const Verdict write = policy.csrWrite(d, c.addr);
+            if (write.allowed()) {
                 // Full write: the written value comes from registers —
                 // equal across the pair unless the writer carries high
                 // data.
@@ -157,8 +152,7 @@ struct RelChecker
                                    "copies";
                     return s;
                 };
-                if (carry != 0 &&
-                    policy.csrReadAllowed(target, c.bitmap_index)) {
+                if (carry != 0 && policy.csrRead(target, c.addr).allowed()) {
                     std::vector<TraceStep> trace = ex.pathTo(id);
                     trace.push_back(step());
                     addFinding(
@@ -174,12 +168,9 @@ struct RelChecker
                 ex.follow(*this, id, step);
                 continue;
             }
-            if (c.mask_index == invalidCsrIndex ||
-                !policy.csrOnBus(d, c.bitmap_index))
-                continue; // no mask, or the bitmap walk faults first
-            RegVal mask = policy.mask(d, c.mask_index);
-            if (mask == 0)
-                continue;
+            if (!write.maskDecides() || write.mask == 0)
+                continue; // every write faults
+            const RegVal mask = write.mask;
             if ((diff & ~mask) != 0) {
                 // The bit-mask equation consults the live old value:
                 // with the copies differing outside the mask, one copy
@@ -243,16 +234,12 @@ struct RelChecker
 } // namespace
 
 void
-runRelationalCheck(const IsaModel &isa, const PhysMem &mem,
-                   const PolicySnapshot &snap,
-                   const std::vector<CodeRegion> &regions,
-                   DomainId initial_domain, DomainId target,
-                   const ContractOptions &options,
+runRelationalCheck(const SwitchImage &image, DomainId initial_domain,
+                   DomainId target, const ContractOptions &options,
                    std::vector<ContractFinding> &findings,
                    ContractStats &stats)
 {
-    RelChecker checker(isa, mem, snap, regions, target, options,
-                       findings);
+    RelChecker checker(image, target, options, findings);
     ExplorerStats explored = checker.run(initial_domain);
     stats.rel_states += explored.states;
     stats.rel_transitions += explored.transitions;

@@ -52,17 +52,16 @@
 
 namespace isagrid {
 
+class SwitchImage;
+
 /**
- * Explore the relational state space for one target domain and append
- * the PLAUSIBLE findings. @p initial_domain names the domain of the
- * pair's shared start state (0 for a booted kernel image, the payload
- * domain for attack images).
+ * Explore the relational state space for one target domain of
+ * @p image and append the PLAUSIBLE findings. @p initial_domain names
+ * the domain of the pair's shared start state (0 for a booted kernel
+ * image, the payload domain for attack images).
  */
-void runRelationalCheck(const IsaModel &isa, const PhysMem &mem,
-                        const PolicySnapshot &snap,
-                        const std::vector<CodeRegion> &regions,
-                        DomainId initial_domain, DomainId target,
-                        const ContractOptions &options,
+void runRelationalCheck(const SwitchImage &image, DomainId initial_domain,
+                        DomainId target, const ContractOptions &options,
                         std::vector<ContractFinding> &findings,
                         ContractStats &stats);
 

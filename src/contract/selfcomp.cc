@@ -129,8 +129,9 @@ planPerturbation(Machine &machine, DomainId target,
                  const ContractOptions &options)
 {
     std::vector<Perturbation> seeds;
-    PrivilegeSet priv(machine.isa(), machine.mem(), machine.pcu());
-    for (std::uint32_t csr : priv.highCsrs(target)) {
+    const PolicyView policy(machine.isa(), machine.mem(),
+                            PolicySnapshot::fromPcu(machine.pcu()));
+    for (std::uint32_t csr : PrivilegeSet::highCsrs(policy, target)) {
         if (!machine.core().state().csrs.exists(csr))
             continue;
         Perturbation p;
@@ -254,14 +255,15 @@ runSelfComposition(const ContractScenario &scenario,
             // The low CSR list, from the unperturbed copy's live HPT.
             std::vector<std::uint32_t> low_csrs;
             {
-                PrivilegeSet priv(a->isa(), a->mem(), a->pcu());
+                const PolicyView policy(
+                    a->isa(), a->mem(), PolicySnapshot::fromPcu(a->pcu()));
                 for (std::uint32_t csr :
                      a->isa().controlledCsrAddrs()) {
                     if (a->isa().isGridReg(csr))
                         continue;
                     if (!a->core().state().csrs.exists(csr))
                         continue;
-                    if (priv.csrReadable(target, csr))
+                    if (policy.csrRead(target, csr).allowed())
                         low_csrs.push_back(csr);
                 }
             }

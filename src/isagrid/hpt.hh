@@ -26,6 +26,15 @@
 
 namespace isagrid {
 
+/**
+ * The three HPT structures. The value is the entry-type field of the
+ * unified privilege cache's tag (Section 4.3).
+ */
+enum class HptKind : std::uint64_t
+{
+    InstBitmap = 1, RegBitmap = 2, BitMask = 3,
+};
+
 /** Address computation for the three HPT structures (see file docs). */
 class HptLayout
 {

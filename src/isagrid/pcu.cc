@@ -155,39 +155,8 @@ PrivilegeCheckUnit::checkInstruction(InstTypeId type)
 {
     ++instChecks;
     CheckOutcome out;
-    // Domain-0 holds every privilege by default (Section 4.4).
-    if (currentDomain() == 0) {
-        out.allowed = true;
-        ISAGRID_TRACE_EVENT(trace_, TraceKind::InstCheck, type, 0, 1);
-        return out;
-    }
-    ISAGRID_ASSERT(type < hpt.instTypes(), "inst type %u", type);
-    std::uint32_t group = HptLayout::instGroupOf(type);
-    std::uint64_t word = 0;
-    bool read = true;
-    if (config_.bypass_enabled) {
-        if (!bypassValid)
-            read = refillBypass(out.stall);
-        else
-            ++bypassCheckCount;
-        word = bypassBitmap[group];
-    } else {
-        DomainId domain = currentDomain();
-        Addr addr = hpt.instWordAddr(gridRegs[idx(GridReg::InstCap)],
-                                     domain, group);
-        read = cachedWord(hptCacheFor(HptKind::InstBitmap), addr,
-                          hptTag(HptKind::InstBitmap, domain, group),
-                          word, out.stall);
-    }
-    if (!read) {
-        out.fault = FaultType::MemoryFault;
-        ++faultCount;
-    } else if (word & (1ull << HptLayout::instBitOf(type))) {
-        out.allowed = true;
-    } else {
-        out.fault = FaultType::InstPrivilege;
-        ++faultCount;
-    }
+    CachedWalk walk{*this, out.stall};
+    settle(out, rules::instruction(walk, currentDomain(), type).fault);
     ISAGRID_TRACE_EVENT(trace_, TraceKind::InstCheck, type, out.stall,
                         out.allowed ? 1 : 0);
     return out;
@@ -221,43 +190,12 @@ PrivilegeCheckUnit::checkInstructionAt(InstTypeId type, Addr pc,
 CheckOutcome
 PrivilegeCheckUnit::checkCsrRead(std::uint32_t csr_addr)
 {
-    CheckOutcome out = checkCsrReadImpl(csr_addr);
-    ISAGRID_TRACE_EVENT(trace_, TraceKind::CsrReadCheck, csr_addr,
-                        out.stall, out.allowed ? 1 : 0);
-    return out;
-}
-
-CheckOutcome
-PrivilegeCheckUnit::checkCsrReadImpl(std::uint32_t csr_addr)
-{
     ++csrReadChecks;
     CheckOutcome out;
-    if (currentDomain() == 0) {
-        out.allowed = true;
-        return out;
-    }
-    CsrIndex index = isa_.csrBitmapIndex(csr_addr);
-    if (index == invalidCsrIndex) {
-        // Uncontrolled CSR: outside ISA-Grid's scope.
-        out.allowed = true;
-        return out;
-    }
-    DomainId domain = currentDomain();
-    std::uint32_t group = HptLayout::regGroupOf(index);
-    Addr addr = hpt.regWordAddr(gridRegs[idx(GridReg::CsrCap)], domain,
-                                group);
-    std::uint64_t word = 0;
-    if (!cachedWord(hptCacheFor(HptKind::RegBitmap), addr,
-                    hptTag(HptKind::RegBitmap, domain, group), word,
-                    out.stall)) {
-        out.fault = FaultType::MemoryFault;
-        ++faultCount;
-    } else if (word & (1ull << HptLayout::regReadBit(index))) {
-        out.allowed = true;
-    } else {
-        out.fault = FaultType::CsrPrivilege;
-        ++faultCount;
-    }
+    CachedWalk walk{*this, out.stall};
+    settle(out, rules::csrRead(walk, currentDomain(), csr_addr).fault);
+    ISAGRID_TRACE_EVENT(trace_, TraceKind::CsrReadCheck, csr_addr,
+                        out.stall, out.allowed ? 1 : 0);
     return out;
 }
 
@@ -265,66 +203,13 @@ CheckOutcome
 PrivilegeCheckUnit::checkCsrWrite(std::uint32_t csr_addr, RegVal old_value,
                                   RegVal new_value)
 {
-    CheckOutcome out = checkCsrWriteImpl(csr_addr, old_value, new_value);
-    ISAGRID_TRACE_EVENT(trace_, TraceKind::CsrWriteCheck, csr_addr,
-                        out.stall, out.allowed ? 1 : 0);
-    return out;
-}
-
-CheckOutcome
-PrivilegeCheckUnit::checkCsrWriteImpl(std::uint32_t csr_addr,
-                                      RegVal old_value, RegVal new_value)
-{
     ++csrWriteChecks;
     CheckOutcome out;
-    if (currentDomain() == 0) {
-        out.allowed = true;
-        return out;
-    }
-    CsrIndex index = isa_.csrBitmapIndex(csr_addr);
-    if (index == invalidCsrIndex) {
-        out.allowed = true;
-        return out;
-    }
-    DomainId domain = currentDomain();
-    std::uint32_t group = HptLayout::regGroupOf(index);
-    Addr addr = hpt.regWordAddr(gridRegs[idx(GridReg::CsrCap)], domain,
-                                group);
-    std::uint64_t word = 0;
-    if (!cachedWord(hptCacheFor(HptKind::RegBitmap), addr,
-                    hptTag(HptKind::RegBitmap, domain, group), word,
-                    out.stall)) {
-        out.fault = FaultType::MemoryFault;
-        ++faultCount;
-        return out;
-    }
-    if (word & (1ull << HptLayout::regWriteBit(index))) {
-        out.allowed = true; // full write privilege
-        return out;
-    }
-    // No full write bit: a bit-maskable CSR may still permit writes
-    // that only touch masked bits.
-    CsrIndex mask_index = isa_.csrMaskIndex(csr_addr);
-    if (mask_index == invalidCsrIndex) {
-        out.fault = FaultType::CsrPrivilege;
-        ++faultCount;
-        return out;
-    }
-    ++maskChecks;
-    Addr mask_addr = hpt.maskAddr(gridRegs[idx(GridReg::CsrBitMask)],
-                                  domain, mask_index);
-    std::uint64_t mask = 0;
-    if (!cachedWord(hptCacheFor(HptKind::BitMask), mask_addr,
-                    hptTag(HptKind::BitMask, domain, mask_index), mask,
-                    out.stall)) {
-        out.fault = FaultType::MemoryFault;
-        ++faultCount;
-    } else if (HptLayout::maskPermits(old_value, new_value, mask)) {
-        out.allowed = true;
-    } else {
-        out.fault = FaultType::CsrMaskViolation;
-        ++faultCount;
-    }
+    CachedWalk walk{*this, out.stall};
+    settle(out, rules::csrWrite(walk, currentDomain(), csr_addr)
+                    .write(old_value, new_value));
+    ISAGRID_TRACE_EVENT(trace_, TraceKind::CsrWriteCheck, csr_addr,
+                        out.stall, out.allowed ? 1 : 0);
     return out;
 }
 
@@ -356,51 +241,38 @@ PrivilegeCheckUnit::gateCall(GateId gate, Addr gate_pc, bool extended,
     return out;
 }
 
+bool
+PrivilegeCheckUnit::CachedWalk::entry(GateId gate, Addr addr,
+                                      SgtEntry &out)
+{
+    bool hit = pcu.sgtCache_.numEntries() > 0 &&
+               pcu.sgtCache_.lookup(gate, out);
+    pcu.accountDomainProbe(hit);
+    if (hit)
+        return true;
+    stall += pcu.fillLatency(addr);
+    if (!pcu.onBus(addr, SgtEntry::sizeBytes))
+        return false;
+    out = {pcu.mem.read64(addr), pcu.mem.read64(addr + 8),
+           pcu.mem.read64(addr + 16)};
+    if (pcu.sgtCache_.numEntries() > 0)
+        pcu.sgtCache_.fill(gate, out);
+    return true;
+}
+
 GateOutcome
 PrivilegeCheckUnit::gateCallImpl(GateId gate, Addr gate_pc, bool extended,
                                  Addr return_pc)
 {
     GateOutcome out;
-    if (gate >= gridRegs[idx(GridReg::GateNr)]) {
-        out.fault = FaultType::GateFault;
+    CachedWalk walk{*this, out.stall};
+    const Verdict v = rules::gateCall(walk, gate, gate_pc);
+    if (v.fault != FaultType::None) {
+        out.fault = v.fault;
         ++faultCount;
         return out;
     }
-    // Fetch the SGT entry, through the SGT cache when configured.
-    Addr table = gridRegs[idx(GridReg::GateAddr)];
-    SgtEntry entry;
-    bool hit = sgtCache_.numEntries() > 0 && sgtCache_.lookup(gate, entry);
-    accountDomainProbe(hit);
-    if (!hit) {
-        Addr entry_addr = sgtEntryAddr(table, gate);
-        out.stall += fillLatency(entry_addr);
-        if (!onBus(entry_addr, SgtEntry::sizeBytes)) {
-            out.fault = FaultType::MemoryFault;
-            ++faultCount;
-            return out;
-        }
-        entry = sgtRead(mem, table, gate);
-        if (sgtCache_.numEntries() > 0)
-            sgtCache_.fill(gate, entry);
-    }
-    // Gate property (i): the gate only fires at its registered address.
-    if (entry.gate_addr != gate_pc) {
-        out.fault = FaultType::GateFault;
-        ++faultCount;
-        return out;
-    }
-    // The dest_domain field is a raw 64-bit guest-memory word: when the
-    // table is corrupted (or misconfigured to lie outside trusted
-    // memory and overwritten), it can hold any value. Switching into an
-    // unconfigured domain would read that domain's HPT rows from
-    // unrelated memory — and a huge id would overflow the
-    // privilege-cache tag field. Out-of-range destinations fault.
-    DomainId domains = gridRegs[idx(GridReg::DomainNr)];
-    if (domains != 0 && entry.dest_domain >= domains) {
-        out.fault = FaultType::GateFault;
-        ++faultCount;
-        return out;
-    }
+    const SgtEntry &entry = v.entry;
     if (extended) {
         // Push (return address, source domain) onto the trusted stack.
         RegVal sp = gridRegs[idx(GridReg::Hcsp)];
@@ -460,19 +332,9 @@ PrivilegeCheckUnit::gateReturnImpl()
     }
     Addr return_pc = mem.read64(sp);
     DomainId return_domain = mem.read64(sp + 8);
-    // hcrets may never re-enter domain-0 (Section 4.4): domain-0 owns
-    // every privilege and an attacker-controlled return would otherwise
-    // land there with a non-registered destination.
-    if (return_domain == 0) {
-        out.fault = FaultType::GateFault;
-        ++faultCount;
-        return out;
-    }
-    // Same range validation as gateCall: a forged or corrupted frame
-    // must not switch into a domain that was never configured.
-    DomainId domains = gridRegs[idx(GridReg::DomainNr)];
-    if (domains != 0 && return_domain >= domains) {
-        out.fault = FaultType::GateFault;
+    CachedWalk walk{*this, out.stall};
+    out.fault = rules::frameReturn(walk, return_domain).fault;
+    if (out.fault != FaultType::None) {
         ++faultCount;
         return out;
     }

@@ -36,6 +36,7 @@
 #include "isa/isa_model.hh"
 #include "isagrid/hpt.hh"
 #include "isagrid/pcu_cache.hh"
+#include "isagrid/privilege_rules.hh"
 #include "isagrid/sgt.hh"
 #include "mem/cache.hh"
 #include "mem/phys_mem.hh"
@@ -345,12 +346,6 @@ class PrivilegeCheckUnit
         return static_cast<std::size_t>(r);
     }
 
-    /** HPT structure kinds (the unified cache's entry-type field). */
-    enum class HptKind : std::uint64_t
-    {
-        InstBitmap = 1, RegBitmap = 2, BitMask = 3,
-    };
-
     /** The cache serving @p kind (one of three, or the unified one). */
     PcuCache<std::uint64_t> &hptCacheFor(HptKind kind);
 
@@ -415,15 +410,61 @@ class PrivilegeCheckUnit
      */
     bool refillBypass(Cycle &stall);
 
+    /**
+     * The PCU's word source for the privilege rules
+     * (privilege_rules.hh): HPT words through the privilege caches
+     * and the bypass register, SGT entries through the SGT cache,
+     * each miss charged to @p stall.
+     */
+    struct CachedWalk
+    {
+        PrivilegeCheckUnit &pcu;
+        Cycle &stall;
+
+        RegVal reg(GridReg r) const { return pcu.gridRegs[idx(r)]; }
+        const HptLayout &layout() const { return pcu.hpt; }
+        const IsaModel &isa() const { return pcu.isa_; }
+
+        bool
+        word(HptKind kind, DomainId domain, std::uint32_t index,
+             Addr addr, std::uint64_t &out)
+        {
+            if (kind == HptKind::InstBitmap && pcu.config_.bypass_enabled) {
+                if (!pcu.bypassValid) {
+                    if (!pcu.refillBypass(stall))
+                        return false;
+                } else {
+                    ++pcu.bypassCheckCount;
+                }
+                out = pcu.bypassBitmap[index];
+                return true;
+            }
+            if (kind == HptKind::BitMask)
+                ++pcu.maskChecks;
+            return pcu.cachedWord(pcu.hptCacheFor(kind), addr,
+                                  pcu.hptTag(kind, domain, index), out,
+                                  stall);
+        }
+
+        bool entry(GateId gate, Addr addr, SgtEntry &out);
+    };
+
+    /** Count and record the fault of a verdict. */
+    void
+    settle(CheckOutcome &out, FaultType fault)
+    {
+        out.fault = fault;
+        out.allowed = fault == FaultType::None;
+        if (!out.allowed)
+            ++faultCount;
+    }
+
     void switchDomain(DomainId dest);
 
     /** Gate bodies; the public entry points add tracing + stats. */
     GateOutcome gateCallImpl(GateId gate, Addr gate_pc, bool extended,
                              Addr return_pc);
     GateOutcome gateReturnImpl();
-    CheckOutcome checkCsrReadImpl(std::uint32_t csr_addr);
-    CheckOutcome checkCsrWriteImpl(std::uint32_t csr_addr,
-                                   RegVal old_value, RegVal new_value);
 
     const IsaModel &isa_;
     PhysMem &mem;

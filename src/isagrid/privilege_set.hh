@@ -4,12 +4,11 @@
  *
  * ISA-Grid's noninterference claim is stated per domain: a domain
  * confined to privilege set P must not observe or influence
- * architectural state outside P. PrivilegeSet materialises P for one
- * domain by reading the HPT words from guest memory through the live
- * grid registers — exactly the bytes the PCU consults — and derives
- * from it the *high* state of a target domain: the controlled CSRs the
- * domain may not read (the taint seeds of the self-composition oracle)
- * and the free trusted-memory bytes hidden behind the HPT carve-up.
+ * architectural state outside P. PrivilegeSet derives, from the
+ * PolicyView of a configuration (the PCU's own read rules), the *high*
+ * state of a target domain: the controlled CSRs the domain may not
+ * read (the taint seeds of the self-composition oracle) and the free
+ * trusted-memory bytes hidden behind the HPT carve-up.
  *
  * CSRs the trap machinery consumes implicitly (the trap vector and the
  * saved trap PC) are excluded from the high set: they are trusted
@@ -25,36 +24,13 @@
 #include <vector>
 
 #include "isagrid/domain_manager.hh"
-#include "isagrid/pcu.hh"
+#include "isagrid/policy_view.hh"
 
 namespace isagrid {
 
-/** PCU's-eye view of one configuration's privilege sets. */
-class PrivilegeSet
+/** The high state of a domain under one configuration. */
+struct PrivilegeSet
 {
-  public:
-    /**
-     * Snapshot the grid registers of @p pcu; HPT words are read lazily
-     * from @p mem on each query (a test that rewrites the HPT sees the
-     * update immediately, like the PCU does after a flush).
-     */
-    PrivilegeSet(const IsaModel &isa, const PhysMem &mem,
-                 const PrivilegeCheckUnit &pcu);
-
-    DomainId numDomains() const;
-
-    /** Domain-0 short-circuits every check, as in the PCU. */
-    bool csrReadable(DomainId domain, std::uint32_t csr_addr) const;
-    bool csrWritable(DomainId domain, std::uint32_t csr_addr) const;
-
-    /**
-     * The bit-mask word governing masked writes of @p csr_addr by
-     * @p domain; 0 when the CSR is not bit-maskable or no mask is set.
-     */
-    RegVal csrMask(DomainId domain, std::uint32_t csr_addr) const;
-
-    bool instAllowed(DomainId domain, InstTypeId type) const;
-
     /**
      * True when @p csr_addr is consumed implicitly by trap entry or
      * trap return (stvec / sepc on RISC-V, the IDTR on x86) — trusted
@@ -68,7 +44,8 @@ class PrivilegeSet
      * domain's read set, minus the implicit trap inputs. These are the
      * taint seeds the self-composition oracle perturbs.
      */
-    std::vector<std::uint32_t> highCsrs(DomainId target) const;
+    static std::vector<std::uint32_t> highCsrs(const PolicyView &policy,
+                                               DomainId target);
 
     /**
      * The free trusted-memory range [first, second): bytes inside
@@ -83,17 +60,6 @@ class PrivilegeSet
         return {dm.trustedStackLimit(),
                 config.tmem_base + config.tmem_size};
     }
-
-  private:
-    RegVal word(Addr addr) const;
-
-    const IsaModel &isa_;
-    const PhysMem &mem_;
-    HptLayout hpt;
-    RegVal csrCapBase;
-    RegVal instCapBase;
-    RegVal maskBase;
-    RegVal domainNr;
 };
 
 } // namespace isagrid

@@ -4,26 +4,24 @@
 
 namespace isagrid {
 
-Explorer::Explorer(const IsaModel &isa, const PhysMem &mem,
-                   const PolicySnapshot &snap,
-                   const std::vector<CodeRegion> &regions,
-                   std::size_t max_states, unsigned depth_bound)
-    : policy_(isa, mem, snap), maxStates_(max_states),
-      depthBound_(depth_bound),
-      visited_(0, StateHash{this}, StateEqual{this})
+SwitchImage::SwitchImage(const IsaModel &isa, const PhysMem &mem,
+                         const PolicySnapshot &snap,
+                         const std::vector<CodeRegion> &regions)
+    : policy(isa, mem, snap)
 {
-    GateId n = policy_.numGates();
+    GateId n = policy.numGates();
     if (n > 4096)
         n = 4096; // a corrupt gatenr: the structure checks flag it
     for (GateId id = 0; id < n; ++id) {
-        SgtEntry entry = policy_.gate(id);
-        DecodedInst inst = decodeAt(isa, mem, entry.gate_addr);
+        const Verdict call = policy.gate(id);
+        DecodedInst inst = decodeAt(isa, mem, call.entry.gate_addr);
         const bool extended = inst.cls == InstClass::GateCallS;
         // An entry off the bus faults every call through it.
-        const bool usable = policy_.gateOnBus(id) && inst.valid &&
+        const bool usable = call.fault != FaultType::MemoryFault &&
+                            inst.valid &&
                             (extended || inst.cls == InstClass::GateCall);
-        gates_.push_back(
-            {entry, usable, extended, inst.type, inst.rs1, inst.length});
+        gates.push_back(
+            {call, usable, extended, inst.type, inst.rs1, inst.length});
     }
 
     for (const CodeRegion &region : regions) {
@@ -31,21 +29,29 @@ Explorer::Explorer(const IsaModel &isa, const PhysMem &mem,
         walkRegion(isa, mem, region, [&](const ScanStep &step) {
             const InstTypeId type = step.inst->type;
             if (step.inst->cls == InstClass::GateRet &&
-                (type == invalidInstType || policy_.instAllowed(d, type)))
-                retSites_.emplace(d, step.pc); // keeps the first
+                (type == invalidInstType ||
+                 policy.inst(d, type).allowed()))
+                retSites.emplace(d, step.pc); // keeps the first
         });
     }
 
     RegVal base = snap.reg(GridReg::Hcsb);
     RegVal limit = snap.reg(GridReg::Hcsl);
-    stackCapacity_ = limit > base ? (limit - base) / 16 : 0;
+    stackCapacity = limit > base ? (limit - base) / 16 : 0;
 }
 
 const Addr *
-Explorer::retSite(DomainId d) const
+SwitchImage::retSite(DomainId d) const
 {
-    auto it = retSites_.find(d);
-    return it != retSites_.end() ? &it->second : nullptr;
+    auto it = retSites.find(d);
+    return it != retSites.end() ? &it->second : nullptr;
+}
+
+Explorer::Explorer(const SwitchImage &image, std::size_t max_states,
+                   unsigned depth_bound)
+    : image_(image), maxStates_(max_states), depthBound_(depth_bound),
+      visited_(0, StateHash{this}, StateEqual{this})
+{
 }
 
 std::vector<TraceStep>
@@ -61,11 +67,11 @@ Explorer::pathTo(std::uint32_t node) const
 TraceStep
 Explorer::gateStep(GateId gid, DomainId from, DomainId to) const
 {
-    const GateInfo &g = gates_[gid];
+    const GateInfo &g = gates()[gid];
     TraceStep step;
     step.kind = g.extended ? TraceStep::Kind::GateCallS
                            : TraceStep::Kind::GateCall;
-    step.pc = g.entry.gate_addr;
+    step.pc = g.call.entry.gate_addr;
     step.in_image = true;
     step.gate = gid;
     step.seed.emplace_back(g.rs1, gid);

@@ -5,9 +5,10 @@
  *
  * ISA-Grid switches domains one way only (Section 4.2): hccall and
  * hccalls pass through an SGT entry, hccalls pushes a (return pc,
- * source domain) frame on the trusted stack, and hcrets pops it. The
- * Explorer holds that semantics once — the SGT gates decoded from the
- * image, the hcrets site of each domain, the stack capacity — with the
+ * source domain) frame on the trusted stack, and hcrets pops it. That
+ * semantics is held once: SwitchImage decodes what an image fixes —
+ * the SGT gates, the hcrets site of each domain, the stack capacity —
+ * once for every exploration of the image, and the Explorer runs the
  * breadth-first search over it: visited set, state cap, depth bound,
  * and the parent links counterexample traces are read back from.
  *
@@ -52,12 +53,29 @@ namespace isagrid {
 /** One SGT entry with the instruction decoded at its gate address. */
 struct GateInfo
 {
-    SgtEntry entry;
+    /** A call at the registered address: the entry and its fault. */
+    Verdict call;
     bool usable = false; //!< on the bus, decodes to hccall/hccalls
     bool extended = false; //!< hccalls
     InstTypeId type = invalidInstType;
     std::uint8_t rs1 = 0;
     std::uint8_t length = 0;
+};
+
+/** The domain-switch facts of one image (see file comment). */
+struct SwitchImage
+{
+    SwitchImage(const IsaModel &isa, const PhysMem &mem,
+                const PolicySnapshot &snap,
+                const std::vector<CodeRegion> &regions);
+
+    /** Domain @p d's first hcrets site it is granted, or nullptr. */
+    const Addr *retSite(DomainId d) const;
+
+    PolicyView policy;
+    std::vector<GateInfo> gates; //!< by gate id
+    std::map<DomainId, Addr> retSites;
+    std::size_t stackCapacity = 0; //!< (hcsl - hcsb) / 16 frames
 };
 
 /** Breadth-first walk of the domain-switch state space. */
@@ -67,17 +85,12 @@ class Explorer
     /** Returned by follow() when the state cap stops a new state. */
     static constexpr std::uint32_t none = ~0u;
 
-    Explorer(const IsaModel &isa, const PhysMem &mem,
-             const PolicySnapshot &snap,
-             const std::vector<CodeRegion> &regions,
-             std::size_t max_states, unsigned depth_bound);
+    Explorer(const SwitchImage &image, std::size_t max_states,
+             unsigned depth_bound);
     Explorer(const Explorer &) = delete; // the visited set points here
     Explorer &operator=(const Explorer &) = delete;
 
-    const std::vector<GateInfo> &gates() const { return gates_; }
-
-    /** Domain @p d's first hcrets site it is granted, or nullptr. */
-    const Addr *retSite(DomainId d) const;
+    const std::vector<GateInfo> &gates() const { return image_.gates; }
 
     /** The abstraction words of @p node, valid until the next follow(). */
     const RegVal *abstraction(std::uint32_t node) const
@@ -214,38 +227,38 @@ class Explorer
     expand(Analysis &analysis, std::uint32_t id)
     {
         const DomainId d = domain(id);
-        const DomainId domains = policy_.numDomains();
+        const PolicyView &policy = image_.policy;
 
         // Gate calls, from every domain granted the gate instruction
         // (the SGT, not the caller, names the destination).
-        for (GateId gid = 0; gid < gates_.size(); ++gid) {
-            const GateInfo &g = gates_[gid];
-            if (!g.usable || (d != 0 && g.type != invalidInstType &&
-                              !policy_.instAllowed(d, g.type)))
+        for (GateId gid = 0; gid < gates().size(); ++gid) {
+            const GateInfo &g = gates()[gid];
+            if (!g.usable || (g.type != invalidInstType &&
+                              !policy.inst(d, g.type).allowed()))
                 continue;
             ++stats_.transitions;
-            if (domains != 0 && g.entry.dest_domain >= domains) {
+            if (!g.call.allowed()) {
                 analysis.gateFault(id, gid);
                 continue;
             }
-            if (g.extended && frames(id) >= stackCapacity_)
+            if (g.extended && frames(id) >= image_.stackCapacity)
                 continue; // overflow: the PCU trusted-stack-faults
-            const DomainId dest = g.entry.dest_domain;
+            const DomainId dest = g.call.entry.dest_domain;
             successor(id);
             scratch_[absWords_] = dest;
             if (g.extended)
                 scratch_.insert(scratch_.end(),
-                                {g.entry.gate_addr + g.length, d});
+                                {g.call.entry.gate_addr + g.length, d});
             analysis.gateEntered(id, gid, dest);
             enter(analysis, id, [&] { return gateStep(gid, d, dest); });
         }
 
         // hcrets: pops the top frame when the domain may execute one
-        // of its hcrets sites and the frame names a configured,
-        // non-zero source domain.
-        const Addr *ret_pc = frames(id) != 0 ? retSite(d) : nullptr;
+        // of its hcrets sites and the frame's source domain passes.
+        const Addr *ret_pc =
+            frames(id) != 0 ? image_.retSite(d) : nullptr;
         const DomainId src = wordsOf(id).back();
-        if (ret_pc != nullptr && src != 0 && (domains == 0 || src < domains)) {
+        if (ret_pc != nullptr && policy.frameReturn(src).allowed()) {
             ++stats_.transitions;
             successor(id);
             scratch_.resize(scratch_.size() - 2);
@@ -264,10 +277,7 @@ class Explorer
         analysis.expand(id);
     }
 
-    PolicyView policy_;
-    std::vector<GateInfo> gates_;
-    std::map<DomainId, Addr> retSites_;
-    std::size_t stackCapacity_ = 0; //!< (hcsl - hcsb) / 16 frames
+    const SwitchImage &image_;
     std::size_t maxStates_;
     unsigned depthBound_;
 

@@ -33,14 +33,6 @@ kindName(TraceStep::Kind kind)
     return "?";
 }
 
-/** A bit-maskable CSR and its Section 4.1 indices. */
-struct MaskableCsr
-{
-    std::uint32_t addr = 0;
-    CsrIndex bitmap_index = invalidCsrIndex;
-    CsrIndex mask_index = invalidCsrIndex;
-};
-
 } // namespace
 
 std::size_t
@@ -182,20 +174,21 @@ struct ModelChecker::Impl
 {
     const IsaModel &isa;
     const PhysMem &mem;
-    PolicySnapshot snap;
     std::vector<CodeRegion> regions;
     DomainId initialDomain;
     McOptions options;
 
-    PolicyView policy;
+    SwitchImage image;
+    const PolicyView &policy;
     ArchState probe; //!< reset CSR file: which addresses exist
 
     /**
-     * Maskable CSR m owns abstraction words 2m (`known`: bits still
-     * guaranteed to hold their boot value) and 2m + 1 (`dirty`: bits
-     * possibly flipped through bit-mask, not full-write, grants).
+     * The bit-maskable CSR at maskables[m] owns abstraction words 2m
+     * (`known`: bits still guaranteed to hold their boot value) and
+     * 2m + 1 (`dirty`: bits possibly flipped through bit-mask, not
+     * full-write, grants).
      */
-    std::vector<MaskableCsr> maskables;
+    std::vector<std::uint32_t> maskables;
     std::map<Addr, GateId> gateAt; //!< registered gate addresses
 
     /**
@@ -219,26 +212,24 @@ struct ModelChecker::Impl
     Impl(const IsaModel &isa, const PhysMem &mem,
          const PolicySnapshot &snapshot, std::vector<CodeRegion> regions,
          DomainId initial_domain, const McOptions &options)
-        : isa(isa), mem(mem), snap(snapshot),
-          regions(std::move(regions)), initialDomain(initial_domain),
-          options(options), policy(isa, mem, snap),
-          ex(isa, mem, snap, this->regions, options.max_states,
-             options.depth_bound)
+        : isa(isa), mem(mem), regions(std::move(regions)),
+          initialDomain(initial_domain),
+          options(options), image(isa, mem, snapshot, this->regions),
+          policy(image.policy),
+          ex(image, options.max_states, options.depth_bound)
     {
         probe.zero_reg_hardwired = isa.name() != "x86";
         isa.initState(probe);
 
         for (std::uint32_t addr : isa.controlledCsrAddrs()) {
-            CsrIndex mi = isa.csrMaskIndex(addr);
-            if (mi == invalidCsrIndex)
-                continue;
-            maskables.push_back({addr, isa.csrBitmapIndex(addr), mi});
+            if (isa.csrMaskIndex(addr) != invalidCsrIndex)
+                maskables.push_back(addr);
         }
-        for (const MaskableCsr &mc : maskables) {
+        for (std::uint32_t addr : maskables) {
             csrStubTypes.push_back(
-                stubTypes([&mc](AsmIface &a, RegVal v) {
+                stubTypes([addr](AsmIface &a, RegVal v) {
                     a.li(a.regArg(3), v);
-                    a.csrWrite(mc.addr, a.regArg(3));
+                    a.csrWrite(addr, a.regArg(3));
                 }));
         }
         storeStubTypes = stubTypes([](AsmIface &a, RegVal v) {
@@ -248,8 +239,9 @@ struct ModelChecker::Impl
         });
 
         for (GateId id = 0; id < ex.gates().size(); ++id) {
-            if (policy.gateOnBus(id))
-                gateAt.emplace(ex.gates()[id].entry.gate_addr, id);
+            const Verdict &call = ex.gates()[id].call;
+            if (call.fault != FaultType::MemoryFault)
+                gateAt.emplace(call.entry.gate_addr, id);
         }
     }
 
@@ -290,45 +282,30 @@ struct ModelChecker::Impl
     bool
     stubAllowed(DomainId d, const std::vector<InstTypeId> &types) const
     {
-        if (d == 0)
-            return true;
         for (InstTypeId t : types) {
-            if (!policy.instAllowed(d, t))
+            if (!policy.inst(d, t).allowed())
                 return false;
         }
         return true;
     }
 
+    /** The PCU's fault for an instruction of @p type in domain @p d. */
+    FaultType
+    typeFault(DomainId d, InstTypeId type) const
+    {
+        return type == invalidInstType ? FaultType::None
+                                       : policy.inst(d, type).fault;
+    }
+
     DomainId numDomains() const { return policy.numDomains(); }
-
-    /** The PCU's fault for a type @p d is denied: off the bus, memory. */
-    FaultType
-    instFault(DomainId d) const
-    {
-        return policy.instOnBus(d) ? FaultType::InstPrivilege
-                                   : FaultType::MemoryFault;
-    }
-
-    /**
-     * The PCU's fault for a call of gate @p id at an address the entry
-     * does not register: it range-checks the id, reads the entry
-     * (MemoryFault off the bus), then compares the address.
-     */
-    FaultType
-    gateCallFault(GateId id) const
-    {
-        return id < policy.numGates() && !policy.gateOnBus(id)
-                   ? FaultType::MemoryFault
-                   : FaultType::GateFault;
-    }
 
     bool
     stackInsideTmem() const
     {
-        RegVal base = snap.reg(GridReg::Hcsb);
-        RegVal limit = snap.reg(GridReg::Hcsl);
-        RegVal tb = snap.reg(GridReg::Tmemb);
-        RegVal tl = snap.reg(GridReg::Tmeml);
+        RegVal base = policy.reg(GridReg::Hcsb);
+        RegVal limit = policy.reg(GridReg::Hcsl);
+        RegVal tb = policy.reg(GridReg::Tmemb);
+        RegVal tl = policy.reg(GridReg::Tmeml);
         if (limit <= base)
             return true; // no stack storage to forge
         return tl > tb && base >= tb && limit <= tl;
@@ -337,8 +314,8 @@ struct ModelChecker::Impl
     bool
     inTmem(Addr addr, std::size_t size) const
     {
-        RegVal tb = snap.reg(GridReg::Tmemb);
-        RegVal tl = snap.reg(GridReg::Tmeml);
+        RegVal tb = policy.reg(GridReg::Tmemb);
+        RegVal tl = policy.reg(GridReg::Tmeml);
         return tl > tb && addr + size > tb && addr < tl;
     }
 
@@ -407,7 +384,7 @@ struct ModelChecker::Impl
 
         if (d == 0)
             return;
-        const Addr *ret_pc = ex.retSite(d);
+        const Addr *ret_pc = image.retSite(d);
         if (ret_pc == nullptr)
             return;
         const std::size_t frames = ex.frames(id);
@@ -445,7 +422,7 @@ struct ModelChecker::Impl
         if (n <= 1)
             return;
         const DomainId forged = n - 1 != d ? n - 1 : n > 2 ? n - 2 : d;
-        Addr frame = snap.reg(GridReg::Hcsb) + 16 * (frames - 1);
+        Addr frame = policy.reg(GridReg::Hcsb) + 16 * (frames - 1);
         Addr target = *ret_pc;
         for (const auto &r : regions) {
             if (r.domain == forged) {
@@ -487,9 +464,10 @@ struct ModelChecker::Impl
     gateFault(std::uint32_t from, GateId gid)
     {
         const DomainId d = ex.domain(from);
-        const SgtEntry &entry = ex.gates()[gid].entry;
+        const GateInfo &gate = ex.gates()[gid];
+        const SgtEntry &entry = gate.call.entry;
         TraceStep step = ex.gateStep(gid, d, d);
-        step.expect = FaultType::GateFault;
+        step.expect = gate.call.fault;
         step.note = "dest_domain word out of range";
         std::vector<TraceStep> trace = ex.pathTo(from);
         trace.push_back(std::move(step));
@@ -517,7 +495,7 @@ struct ModelChecker::Impl
         std::vector<TraceStep> trace = ex.pathTo(from);
         trace.push_back(ex.gateStep(gid, d, dest));
         addFinding(sev, "mc-domain0-entry", d,
-                   ex.gates()[gid].entry.gate_addr,
+                   ex.gates()[gid].call.entry.gate_addr,
                    "gate " + std::to_string(gid) +
                        " hands domain-0 privileges to any "
                        "domain that executes it — legitimate "
@@ -533,7 +511,7 @@ struct ModelChecker::Impl
         if (d == 0)
             return;
         for (std::size_t m = 0; m < maskables.size(); ++m) {
-            const MaskableCsr &mc = maskables[m];
+            const std::uint32_t csr = maskables[m];
             if (!stubAllowed(d, csrStubTypes[m])) {
                 // The write instruction's own type (or the li feeding
                 // it) is revoked for this domain: the PCU
@@ -541,15 +519,15 @@ struct ModelChecker::Impl
                 // write of any kind can happen.
                 continue;
             }
-            if (mc.bitmap_index != invalidCsrIndex &&
-                policy.csrWriteAllowed(d, mc.bitmap_index)) {
+            const Verdict write = policy.csrWrite(d, csr);
+            if (write.allowed()) {
                 // Authorized full write: the value is no longer the
                 // boot value, but no mask composition is involved.
                 ex.successor(id)[2 * m] = 0;
                 ex.follow(*this, id, [&] {
                     TraceStep step;
                     step.kind = TraceStep::Kind::CsrWrite;
-                    step.csr_addr = mc.addr;
+                    step.csr_addr = csr;
                     step.flip = 0;
                     step.domain_before = step.domain_after = d;
                     step.note = "full write privilege";
@@ -557,12 +535,9 @@ struct ModelChecker::Impl
                 });
                 continue;
             }
-            if (mc.bitmap_index != invalidCsrIndex &&
-                !policy.csrOnBus(d, mc.bitmap_index))
-                continue; // the bitmap walk faults before the mask
-            RegVal mask = policy.mask(d, mc.mask_index);
-            if (mask == 0)
-                continue;
+            if (!write.maskDecides() || write.mask == 0)
+                continue; // every write faults
+            const RegVal mask = write.mask;
             RegVal *succ = ex.successor(id);
             succ[2 * m] &= ~mask;
             succ[2 * m + 1] |= mask;
@@ -571,7 +546,7 @@ struct ModelChecker::Impl
             std::uint32_t succ_id = ex.follow(*this, id, [&] {
                 TraceStep step;
                 step.kind = TraceStep::Kind::CsrWrite;
-                step.csr_addr = mc.addr;
+                step.csr_addr = csr;
                 step.flip = mask;
                 step.masked = true;
                 step.domain_before = step.domain_after = d;
@@ -584,9 +559,9 @@ struct ModelChecker::Impl
                 // not cover — a combined change no single domain was
                 // granted.
                 addFinding(Severity::Violation, "mc-mask-composition", d,
-                           mc.addr,
+                           csr,
                            "masked writes compose across domains: CSR " +
-                               hexAddr(mc.addr) + " accumulates flips " +
+                               hexAddr(csr) + " accumulates flips " +
                                hexAddr(dirty) + " of which " +
                                hexAddr(escaped) +
                                " exceed the final writer's mask " +
@@ -651,9 +626,8 @@ struct ModelChecker::Impl
 
             // First failing check, in stepOne() order: instruction
             // bitmap, then gates, then CSR access, then memory.
-            if (inst.type != invalidInstType &&
-                !policy.instAllowed(d, inst.type)) {
-                FaultType fault = instFault(d);
+            if (FaultType fault = typeFault(d, inst.type);
+                fault != FaultType::None) {
                 siteFinding(node, Severity::Violation, "mc-inst-privilege",
                             d, pc,
                             std::string(inst.mnemonic) + " (type " +
@@ -706,8 +680,8 @@ struct ModelChecker::Impl
         if (at != gateAt.end()) {
             if (!reg_id || *reg_id == at->second)
                 return; // a modelled, registered gate edge
-            TraceStep step = instStep(pc, d, gateCallFault(*reg_id), inst,
-                                      consts);
+            TraceStep step = instStep(
+                pc, d, policy.gateCall(*reg_id, pc).fault, inst, consts);
             siteFinding(node, Severity::Violation,
                         "mc-gate-id-mismatch", d, pc,
                         "gate id " + std::to_string(*reg_id) +
@@ -718,8 +692,9 @@ struct ModelChecker::Impl
         }
         // Unregistered gate address: property (i) faults it for every
         // id — in range (gate_addr mismatch) or out of range.
-        TraceStep step = instStep(pc, d, gateCallFault(reg_id.value_or(0)),
-                                  inst, consts);
+        TraceStep step =
+            instStep(pc, d, policy.gateCall(reg_id.value_or(0), pc).fault,
+                     inst, consts);
         if (!reg_id)
             step.seed.emplace_back(inst.rs1, 0);
         if (reg_id && *reg_id >= policy.numGates()) {
@@ -773,45 +748,34 @@ struct ModelChecker::Impl
         }
         if (!probe.csrs.exists(csr))
             return; // undefined CSR: faults natively, not ISA-Grid
-        CsrIndex index = isa.csrBitmapIndex(csr);
-        if (index == invalidCsrIndex)
-            return; // uncontrolled CSR
         // A register-bitmap or bit-mask walk off the bus faults in
         // place of the check's verdict.
-        const bool bitmap_on_bus = policy.csrOnBus(d, index);
-        auto denied = [&](const char *check, const char *missing_bit) {
-            siteFinding(node, Severity::Violation, check, d, pc,
+        const Verdict v =
+            is_write ? policy.csrWrite(d, csr) : policy.csrRead(d, csr);
+        if (v.allowed())
+            return; // granted, or an uncontrolled CSR
+        if (!v.masked) {
+            siteFinding(node, Severity::Violation,
+                        is_write ? "mc-csr-write" : "mc-csr-read", d, pc,
                         std::string(inst.mnemonic) +
                             (is_write ? " writes CSR " : " reads CSR ") +
                             hexAddr(csr) +
-                            (bitmap_on_bus ? missing_bit
-                                           : " from a register bitmap "
-                                             "outside physical memory"),
-                        {instStep(pc, d,
-                                  bitmap_on_bus ? FaultType::CsrPrivilege
-                                                : FaultType::MemoryFault,
-                                  inst, consts)});
-        };
-        if (!is_write) {
-            if (!policy.csrReadAllowed(d, index))
-                denied("mc-csr-read", " without the read bit");
+                            (v.fault == FaultType::MemoryFault
+                                 ? " from a register bitmap outside "
+                                   "physical memory"
+                             : is_write ? " without the write bit"
+                                        : " without the read bit"),
+                        {instStep(pc, d, v.fault, inst, consts)});
             return;
         }
-        if (policy.csrWriteAllowed(d, index))
-            return;
-        CsrIndex mi = isa.csrMaskIndex(csr);
-        if (mi == invalidCsrIndex || !bitmap_on_bus) {
-            denied("mc-csr-write", " without the write bit");
-            return;
-        }
-        if (!policy.maskOnBus(d, mi)) {
+        if (v.fault == FaultType::MemoryFault) {
             siteFinding(node, Severity::Violation, "mc-csr-mask", d, pc,
                         std::string(inst.mnemonic) + " writes bit-maskable "
                             "CSR " + hexAddr(csr) + " through a bit-mask "
                             "outside physical memory",
                         {instStep(pc, d, FaultType::MemoryFault, inst,
                                   consts)});
-        } else if (policy.mask(d, mi) == 0) {
+        } else if (v.mask == 0) {
             siteFinding(node, Severity::Violation, "mc-csr-mask", d, pc,
                         std::string(inst.mnemonic) + " writes bit-maskable "
                             "CSR " + hexAddr(csr) + " with an all-zero "
@@ -917,8 +881,8 @@ struct ModelChecker::Impl
             if (!sp)
                 return;
             Addr slot = *sp - 8;
-            RegVal tb = snap.reg(GridReg::Tmemb);
-            RegVal tl = snap.reg(GridReg::Tmeml);
+            RegVal tb = policy.reg(GridReg::Tmemb);
+            RegVal tl = policy.reg(GridReg::Tmeml);
             bool in_tmem = tl > tb && slot < tl && slot + 8 > tb;
             if (slot >= mem.size() || mem.size() - slot < 8 || in_tmem)
                 return;
@@ -990,8 +954,8 @@ struct ModelChecker::Impl
             // entry, so property (i) faults it — unless the domain's
             // instruction bitmap already denies the gate instruction
             // itself, which the PCU checks first.
-            bool denied = hidden.type != invalidInstType &&
-                          !policy.instAllowed(d, hidden.type);
+            const FaultType inst_fault = typeFault(d, hidden.type);
+            const bool denied = inst_fault != FaultType::None;
             extra.push_back(jump);
             TraceStep gate;
             gate.kind = hidden.cls == InstClass::GateCallS
@@ -1002,8 +966,8 @@ struct ModelChecker::Impl
             RegVal id = 0;
             if (auto v = consts.value(hidden.rs1))
                 id = *v;
-            gate.expect = denied ? instFault(d)
-                                 : gateCallFault(id);
+            gate.expect = denied ? inst_fault
+                                 : policy.gateCall(GateId(id), target).fault;
             gate.domain_before = gate.domain_after = d;
             gate.gate = GateId(id);
             gate.seed.emplace_back(hidden.rs1, id);
@@ -1024,14 +988,14 @@ struct ModelChecker::Impl
                         std::move(extra));
             return;
         }
-        if (hidden.type != invalidInstType &&
-            !policy.instAllowed(d, hidden.type)) {
+        if (FaultType fault = typeFault(d, hidden.type);
+            fault != FaultType::None) {
             extra.push_back(jump);
             TraceStep land;
             land.kind = TraceStep::Kind::Inst;
             land.pc = target;
             land.in_image = true;
-            land.expect = instFault(d);
+            land.expect = fault;
             land.domain_before = land.domain_after = d;
             extra.push_back(std::move(land));
             siteFinding(node, Severity::Violation,
@@ -1070,9 +1034,9 @@ struct ModelChecker::Impl
                         {std::move(jump), std::move(land)});
             return;
         }
-        if (hidden.type != invalidInstType &&
-            !policy.instAllowed(d, hidden.type)) {
-            land.expect = instFault(d);
+        if (FaultType fault = typeFault(d, hidden.type);
+            fault != FaultType::None) {
+            land.expect = fault;
             land.note = std::string("unintended ") + hidden.mnemonic;
             siteFinding(node, Severity::Violation,
                         "mc-hidden-inst", d, pc,

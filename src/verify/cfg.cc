@@ -61,7 +61,7 @@ Cfg::build(const IsaModel &isa, const PhysMem &mem,
 
     PolicyView view(isa, mem, snapshot);
     for (GateId g = 0; g < view.numGates(); ++g)
-        cfg.gates_.push_back(view.gate(g));
+        cfg.gates_.push_back(view.gate(g).entry);
 
     // Pass 1: decode every region, resolving targets and gate ids
     // through the constant window walkRegion maintains.

@@ -61,7 +61,7 @@ PrivilegeInference::PrivilegeInference(const IsaModel &isa,
 {
     PolicyView view(isa, mem, snap);
     for (GateId g = 0; g < view.numGates(); ++g) {
-        SgtEntry entry = view.gate(g);
+        SgtEntry entry = view.gate(g).entry;
         entries_.emplace_back(static_cast<DomainId>(entry.dest_domain),
                               entry.dest_addr);
     }

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <string_view>
 
-#include "isagrid/pcu.hh"
-
 namespace isagrid {
 
 std::string
@@ -35,15 +33,6 @@ jsonEscape(std::string &out, const std::string &s)
             }
         }
     }
-}
-
-PolicySnapshot
-PolicySnapshot::fromPcu(const PrivilegeCheckUnit &pcu)
-{
-    PolicySnapshot snap;
-    for (std::uint8_t r = 0; r < numGridRegs; ++r)
-        snap.regs[r] = pcu.gridReg(static_cast<GridReg>(r));
-    return snap;
 }
 
 // ---------------------------------------------------------------------
@@ -175,100 +164,6 @@ ConstTracker::kill(unsigned reg)
 {
     if (reg < known.size() && !(zeroHardwired && reg == 0))
         known[reg] = false;
-}
-
-// ---------------------------------------------------------------------
-// PolicyView
-// ---------------------------------------------------------------------
-
-bool
-PolicyView::instAllowed(DomainId domain, InstTypeId type) const
-{
-    if (domain == 0)
-        return true;
-    if (!instOnBus(domain))
-        return false;
-    Addr addr = hpt.instWordAddr(snap.reg(GridReg::InstCap), domain,
-                                 HptLayout::instGroupOf(type));
-    return (word(addr) >> HptLayout::instBitOf(type)) & 1;
-}
-
-bool
-PolicyView::csrReadAllowed(DomainId domain, CsrIndex index) const
-{
-    if (domain == 0)
-        return true;
-    Addr addr = hpt.regWordAddr(snap.reg(GridReg::CsrCap), domain,
-                                HptLayout::regGroupOf(index));
-    return (word(addr) >> HptLayout::regReadBit(index)) & 1;
-}
-
-bool
-PolicyView::csrWriteAllowed(DomainId domain, CsrIndex index) const
-{
-    if (domain == 0)
-        return true;
-    Addr addr = hpt.regWordAddr(snap.reg(GridReg::CsrCap), domain,
-                                HptLayout::regGroupOf(index));
-    return (word(addr) >> HptLayout::regWriteBit(index)) & 1;
-}
-
-RegVal
-PolicyView::mask(DomainId domain, CsrIndex mask_index) const
-{
-    if (domain == 0)
-        return ~RegVal{0};
-    return word(hpt.maskAddr(snap.reg(GridReg::CsrBitMask), domain,
-                             mask_index));
-}
-
-SgtEntry
-PolicyView::gate(GateId id) const
-{
-    Addr a = sgtEntryAddr(snap.reg(GridReg::GateAddr), id);
-    return {word(a), word(a + 8), word(a + 16)};
-}
-
-bool
-PolicyView::instOnBus(DomainId domain) const
-{
-    if (domain == 0)
-        return true; // domain-0 is never checked
-    Addr base = snap.reg(GridReg::InstCap);
-    for (std::uint32_t g = 0; g < hpt.numInstGroups(); ++g) {
-        if (!onBus(hpt.instWordAddr(base, domain, g)))
-            return false;
-    }
-    return true;
-}
-
-bool
-PolicyView::csrOnBus(DomainId domain, CsrIndex index) const
-{
-    return domain == 0 ||
-           onBus(hpt.regWordAddr(snap.reg(GridReg::CsrCap), domain,
-                                 HptLayout::regGroupOf(index)));
-}
-
-bool
-PolicyView::maskOnBus(DomainId domain, CsrIndex mask_index) const
-{
-    return domain == 0 ||
-           onBus(hpt.maskAddr(snap.reg(GridReg::CsrBitMask), domain,
-                              mask_index));
-}
-
-bool
-PolicyView::gateOnBus(GateId id) const
-{
-    return onBus(sgtEntryAddr(snap.reg(GridReg::GateAddr), id),
-                 SgtEntry::sizeBytes);
-}
-
-RegVal
-PolicyView::word(Addr addr) const
-{
-    return onBus(addr) ? mem.read64(addr) : 0;
 }
 
 // ---------------------------------------------------------------------

@@ -3,34 +3,29 @@
  * Shared image-scanning infrastructure for the static analyses.
  *
  * Both the per-image policy verifier (src/verify) and the bounded
- * model checker (src/modelcheck) need the same primitives: a snapshot
- * of the Table 2 registers, a PCU's-eye view of the HPT/SGT tables in
- * guest memory, forward constant propagation over straight-line code,
- * and a linear decode walk of a code region. Keeping them in one
- * internal target guarantees the two analyses stay in lockstep — a
- * decoder or table-layout change cannot silently diverge them.
+ * model checker (src/modelcheck) need the same primitives: forward
+ * constant propagation over straight-line code and a linear decode
+ * walk of a code region (the policy itself they read through
+ * isagrid/policy_view.hh). Keeping them in one internal target
+ * guarantees the two analyses stay in lockstep — a decoder change
+ * cannot silently diverge them.
  */
 
 #ifndef ISAGRID_VERIFY_IMAGE_SCAN_HH_
 #define ISAGRID_VERIFY_IMAGE_SCAN_HH_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "isa/grid_regs.hh"
 #include "isa/isa_model.hh"
-#include "isagrid/hpt.hh"
-#include "isagrid/sgt.hh"
+#include "isagrid/policy_view.hh"
 #include "mem/phys_mem.hh"
 #include "sim/types.hh"
 
 namespace isagrid {
-
-class PrivilegeCheckUnit;
 
 /**
  * One contiguous range of guest code owned by a single domain. The
@@ -45,24 +40,6 @@ struct CodeRegion
     std::string name;
 
     bool contains(Addr addr) const { return addr >= base && addr < limit; }
-};
-
-/**
- * The domain configuration under analysis: the Table 2 register
- * values. Everything else (HPT words, SGT entries) is read from guest
- * memory through these bases, exactly as the PCU would on a cache miss.
- */
-struct PolicySnapshot
-{
-    std::array<RegVal, numGridRegs> regs{};
-
-    RegVal reg(GridReg r) const
-    {
-        return regs[static_cast<std::size_t>(r)];
-    }
-
-    /** Capture the live register values of a configured PCU. */
-    static PolicySnapshot fromPcu(const PrivilegeCheckUnit &pcu);
 };
 
 /** "%#x" rendering shared by the analysis reports. */
@@ -101,67 +78,6 @@ class ConstTracker
     std::vector<bool> known;
     std::vector<RegVal> vals;
     bool zeroHardwired;
-};
-
-/**
- * Reads the HPT and SGT from guest memory through the snapshot's base
- * registers, exactly as the PCU would on a privilege-cache miss. The
- * PCU raises MemoryFault for a walk that leaves physical memory
- * (docs/isa_extension.md §6): the *OnBus queries say whether a check's
- * walk stays on the bus, and the verdict queries read a walk off the
- * bus as deny. The structural checks report the broken base register
- * separately.
- */
-class PolicyView
-{
-  public:
-    PolicyView(const IsaModel &isa, const PhysMem &mem,
-               const PolicySnapshot &snap)
-        : mem(mem), snap(snap),
-          hpt(isa.numInstTypes(), isa.numControlledCsrs(),
-              isa.numMaskableCsrs())
-    {
-    }
-
-    DomainId numDomains() const { return snap.reg(GridReg::DomainNr); }
-    GateId numGates() const { return snap.reg(GridReg::GateNr); }
-
-    bool instAllowed(DomainId domain, InstTypeId type) const;
-    bool csrReadAllowed(DomainId domain, CsrIndex index) const;
-    bool csrWriteAllowed(DomainId domain, CsrIndex index) const;
-
-    /** Bit-mask word of @p domain for maskable CSR @p mask_index. */
-    RegVal mask(DomainId domain, CsrIndex mask_index) const;
-
-    SgtEntry gate(GateId id) const;
-
-    /**
-     * The instruction checks' walk lies in memory: the domain's whole
-     * instruction-bitmap row, which the PCU's bypass register (on by
-     * default) refills from. Without the bypass the PCU reads only the
-     * checked word; the two differ only for a row of more than one
-     * word, and both ISA models fit their types in one.
-     */
-    bool instOnBus(DomainId domain) const;
-    /** The CSR checks' register-bitmap word lies in memory. */
-    bool csrOnBus(DomainId domain, CsrIndex index) const;
-    /** The bit-mask word lies in memory. */
-    bool maskOnBus(DomainId domain, CsrIndex mask_index) const;
-    /** SGT entry @p id lies in memory. */
-    bool gateOnBus(GateId id) const;
-
-    const HptLayout &layout() const { return hpt; }
-
-  private:
-    bool onBus(Addr addr, std::uint64_t size = 8) const
-    {
-        return addr < mem.size() && mem.size() - addr >= size;
-    }
-    RegVal word(Addr addr) const;
-
-    const PhysMem &mem;
-    const PolicySnapshot &snap;
-    HptLayout hpt;
 };
 
 /** One instruction visited by walkRegion. */

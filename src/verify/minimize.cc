@@ -1,6 +1,7 @@
 #include "verify/minimize.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "isagrid/hpt.hh"
 #include "isagrid/pcu.hh"
@@ -45,25 +46,12 @@ minimizePolicy(const IsaModel &isa, const PhysMem &mem,
             {sev, std::move(check), d, addr, std::move(msg)});
     };
 
-    // The table bases are guest-writable grid registers. A table
-    // outside physical memory reads as deny-all here and faults every
-    // PCU walk at run time; applyMinimizedPolicy() cannot rewrite it.
-    const HptLayout layout(isa.numInstTypes(), isa.numControlledCsrs(),
-                           isa.numMaskableCsrs());
-    const struct
-    {
-        const char *name;
-        Addr base;
-        std::uint64_t bytes;
-    } tables[] = {
-        {"instruction bitmaps", snapshot.reg(GridReg::InstCap),
-         layout.instStride() * num_domains},
-        {"register bitmaps", snapshot.reg(GridReg::CsrCap),
-         layout.regStride() * num_domains},
-        {"bit-mask arrays", snapshot.reg(GridReg::CsrBitMask),
-         layout.maskStride() * num_domains},
-    };
-    for (const auto &t : tables) {
+    // The table bases are guest-writable grid registers. An HPT
+    // structure outside physical memory reads as deny-all here and
+    // faults every PCU walk at run time; applyMinimizedPolicy() cannot
+    // rewrite it.
+    const auto tables = view.tables();
+    for (const PolicyTable &t : std::span(tables).first(3)) {
         if (num_domains > 1 &&
             (t.base >= mem.size() || mem.size() - t.base < t.bytes)) {
             addFinding(Severity::Violation, "table-outside-memory", 0,
@@ -85,7 +73,7 @@ minimizePolicy(const IsaModel &isa, const PhysMem &mem,
         pol.masks.assign(isa.numMaskableCsrs(), 0);
 
         for (InstTypeId t = 0; t < num_types; ++t) {
-            bool cfg = view.instAllowed(d, t);
+            bool cfg = view.inst(d, t).allowed();
             bool needed = baseline[t] || need.inst_types.count(t);
             pol.inst[t] = cfg && needed;
             if (cfg && !needed) {
@@ -106,10 +94,9 @@ minimizePolicy(const IsaModel &isa, const PhysMem &mem,
         for (CsrIndex i = 0; i < csr_addrs.size(); ++i) {
             std::uint32_t addr = csr_addrs[i];
             CsrIndex mi = isa.csrMaskIndex(addr);
-            bool cfg_r = view.csrReadAllowed(d, i);
-            bool cfg_w = view.csrWriteAllowed(d, i);
-            RegVal cfg_mask =
-                mi == invalidCsrIndex ? 0 : view.mask(d, mi);
+            bool cfg_r = view.csrRead(d, addr).allowed();
+            bool cfg_w = view.csrWrite(d, addr).allowed();
+            RegVal cfg_mask = view.csrMask(d, addr).mask;
 
             bool need_r =
                 need.csr_reads.count(i) || need.unresolved_dynamic_read;
@@ -220,17 +207,18 @@ minimizePolicy(const IsaModel &isa, const PhysMem &mem,
         // Semantic subset check: every grant we synthesized must have
         // been permitted by the configured policy.
         for (InstTypeId t = 0; t < num_types; ++t)
-            if (pol.inst[t] && !view.instAllowed(d, t))
+            if (pol.inst[t] && !view.inst(d, t).allowed())
                 res.subset = false;
         for (CsrIndex i = 0; i < csr_addrs.size(); ++i) {
-            if (pol.csr_read[i] && !view.csrReadAllowed(d, i))
+            const std::uint32_t addr = csr_addrs[i];
+            const bool cfg_w = view.csrWrite(d, addr).allowed();
+            if (pol.csr_read[i] && !view.csrRead(d, addr).allowed())
                 res.subset = false;
-            if (pol.csr_write[i] && !view.csrWriteAllowed(d, i))
+            if (pol.csr_write[i] && !cfg_w)
                 res.subset = false;
-            CsrIndex mi = isa.csrMaskIndex(csr_addrs[i]);
-            if (mi != invalidCsrIndex && pol.masks[mi] &&
-                !view.csrWriteAllowed(d, i) &&
-                (pol.masks[mi] & ~view.mask(d, mi)))
+            CsrIndex mi = isa.csrMaskIndex(addr);
+            if (mi != invalidCsrIndex && pol.masks[mi] && !cfg_w &&
+                (pol.masks[mi] & ~view.csrMask(d, addr).mask))
                 res.subset = false;
         }
     }

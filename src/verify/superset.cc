@@ -304,7 +304,7 @@ struct Scanner
 
         // SGT gate destinations are entered by the switching engine.
         for (GateId id = 0; id < policy.numGates(); ++id)
-            seed(policy.gate(id).dest_addr);
+            seed(policy.gate(id).entry.dest_addr);
         for (Addr s : seeds)
             push(s, s);
         report.stats.entry_points = pred.size();
@@ -422,21 +422,21 @@ struct Scanner
             report.add(std::move(f));
         };
 
+        // The instruction check comes first (stepOne() order).
+        const FaultType inst_fault = inst.type == invalidInstType
+                                         ? FaultType::None
+                                         : policy.inst(d, inst.type).fault;
         if (isGateClass(inst.cls)) {
-            FaultType expect;
-            if (d != 0 && inst.type != invalidInstType &&
-                !policy.instAllowed(d, inst.type)) {
-                expect = FaultType::InstPrivilege;
-            } else if (inst.cls == InstClass::GateRet) {
-                // Nothing legitimate ever pushed a frame for this
-                // offset, so the trusted stack is empty under it.
-                expect = FaultType::TrustedStackFault;
-            } else {
-                // Hidden hccall/hccalls: no SGT entry registers a
-                // misaligned address (the gate-decode check would have
-                // flagged it), so property (i) rejects the gate.
-                expect = FaultType::GateFault;
-            }
+            // Past the instruction check, a hidden hcrets underflows:
+            // nothing legitimate ever pushed a frame for this offset.
+            // A hidden hccall/hccalls gate-faults: no SGT entry
+            // registers a misaligned address (the gate-decode check
+            // would have flagged it), so property (i) rejects it.
+            const FaultType expect =
+                inst_fault != FaultType::None ? inst_fault
+                : inst.cls == InstClass::GateRet
+                    ? FaultType::TrustedStackFault
+                    : FaultType::GateFault;
             emit(Severity::Violation, "ui-gate-forge", expect,
                  "— a forged domain switch the SGT never registered");
             return true;
@@ -450,11 +450,12 @@ struct Scanner
         if (!sensitive)
             return false;
 
-        if (inst.type != invalidInstType &&
-            !policy.instAllowed(d, inst.type)) {
-            emit(Severity::Violation, "ui-priv-escape",
-                 FaultType::InstPrivilege,
-                 "but denied by the domain's instruction bitmap");
+        if (inst_fault != FaultType::None) {
+            emit(Severity::Violation, "ui-priv-escape", inst_fault,
+                 inst_fault == FaultType::MemoryFault
+                     ? "but its instruction bitmap lies outside physical "
+                       "memory"
+                     : "but denied by the domain's instruction bitmap");
             return true;
         }
 
@@ -474,24 +475,31 @@ struct Scanner
                      "domain-0");
                 return true;
             }
-            CsrIndex index = isa.csrBitmapIndex(csr);
-            if (index == invalidCsrIndex)
+            if (isa.csrBitmapIndex(csr) == invalidCsrIndex)
                 return false; // uncontrolled CSR: nothing to escape
-            if (!policy.csrWriteAllowed(d, index)) {
-                CsrIndex mi = isa.csrMaskIndex(csr);
-                if (mi == invalidCsrIndex || policy.mask(d, mi) == 0) {
-                    emit(Severity::Violation, "ui-priv-escape",
-                         FaultType::CsrPrivilege,
-                         "but denied by the domain's register bitmap");
-                    return true;
-                }
+            const Verdict v = policy.csrWrite(d, csr);
+            if (v.allowed()) {
+                emit(Severity::Warning, "ui-priv-escape", FaultType::None,
+                     "and the domain's register bitmap permits the "
+                     "write");
+                return false;
+            }
+            if (v.maskDecides() && v.mask != 0) {
                 // Nonzero bit-mask: acceptance depends on the written
                 // value, which no deterministic probe pins down.
                 return false;
             }
-            emit(Severity::Warning, "ui-priv-escape", FaultType::None,
-                 "and the domain's register bitmap permits the write");
-            return false;
+            // An all-zero bit-mask rejects every change of the value.
+            emit(Severity::Violation, "ui-priv-escape",
+                 v.maskDecides() ? FaultType::CsrMaskViolation : v.fault,
+                 v.maskDecides()
+                     ? "but the domain's all-zero bit-mask rejects the "
+                       "write"
+                 : v.fault == FaultType::MemoryFault
+                     ? "but its privilege table lies outside physical "
+                       "memory"
+                     : "but denied by the domain's register bitmap");
+            return true;
         }
 
         emit(Severity::Warning, "ui-priv-escape", FaultType::None,

@@ -125,8 +125,8 @@ Verifier::Verifier(const IsaModel &isa, const PhysMem &mem,
                    const PolicySnapshot &snapshot,
                    std::vector<CodeRegion> regions,
                    const VerifyOptions &options)
-    : isa(isa), mem(mem), snap(snapshot), regions(std::move(regions)),
-      options(options)
+    : isa(isa), mem(mem), snap(snapshot), policy(isa, mem, snapshot),
+      regions(std::move(regions)), options(options)
 {
 }
 
@@ -142,9 +142,7 @@ Verifier::regionOf(Addr addr) const
 void
 Verifier::checkStructure(VerifyReport &report) const
 {
-    PolicyView policy(isa, mem, snap);
     const DomainId domains = policy.numDomains();
-    const GateId gates = policy.numGates();
     const Addr tmemb = snap.reg(GridReg::Tmemb);
     const Addr tmeml = snap.reg(GridReg::Tmeml);
     const bool tmem_enabled = tmeml > tmemb;
@@ -170,29 +168,8 @@ Verifier::checkStructure(VerifyReport &report) const
     }
 
     // --- Section 4.5: every table must live inside trusted memory ---
-    const HptLayout &hpt = policy.layout();
-    struct TableRange
-    {
-        const char *name;
-        Addr base;
-        std::uint64_t bytes;
-    };
-    const TableRange tables[] = {
-        {"instruction bitmaps", snap.reg(GridReg::InstCap),
-         hpt.instStride() * domains},
-        {"register bitmaps", snap.reg(GridReg::CsrCap),
-         hpt.regStride() * domains},
-        {"bit-mask arrays", snap.reg(GridReg::CsrBitMask),
-         hpt.maskStride() * domains},
-        {"switching gate table", snap.reg(GridReg::GateAddr),
-         SgtEntry::sizeBytes * gates},
-        {"trusted stack", snap.reg(GridReg::Hcsb),
-         snap.reg(GridReg::Hcsl) > snap.reg(GridReg::Hcsb)
-             ? snap.reg(GridReg::Hcsl) - snap.reg(GridReg::Hcsb)
-             : 0},
-    };
     if (domains > 1 && tmem_enabled) {
-        for (const auto &t : tables) {
+        for (const PolicyTable &t : policy.tables()) {
             if (t.bytes == 0)
                 continue;
             if (t.base < tmemb || t.base + t.bytes > tmeml) {
@@ -207,10 +184,11 @@ Verifier::checkStructure(VerifyReport &report) const
     }
 
     // --- Section 4.2 property (i): gate table sanity ---
-    for (GateId id = 0; id < gates; ++id) {
-        SgtEntry e = policy.gate(id);
+    for (GateId id = 0; id < policy.numGates(); ++id) {
+        const Verdict call = policy.gate(id);
+        const SgtEntry &e = call.entry;
         std::string tag = "gate " + std::to_string(id);
-        if (e.dest_domain >= domains && domains > 0) {
+        if (call.fault == FaultType::GateFault) {
             report.add(Severity::Violation, "gate-dest-domain", 0,
                        e.gate_addr,
                        tag + " targets domain " +
@@ -265,10 +243,9 @@ Verifier::checkStructure(VerifyReport &report) const
         for (std::uint8_t r = 0; r < numGridRegs; ++r) {
             std::uint32_t addr =
                 isa.gridRegAddr(static_cast<GridReg>(r));
-            CsrIndex index = isa.csrBitmapIndex(addr);
-            if (index == invalidCsrIndex)
+            if (isa.csrBitmapIndex(addr) == invalidCsrIndex)
                 continue;
-            if (policy.csrWriteAllowed(d, index)) {
+            if (policy.csrWrite(d, addr).allowed()) {
                 report.add(Severity::Violation, "grid-reg-writable", d,
                            addr,
                            std::string("domain holds write privilege "
@@ -284,14 +261,13 @@ Verifier::scanRegion(const CodeRegion &region, RegionScan &scan,
                      VerifyReport &report) const
 {
     scan.region = &region;
-    PolicyView policy(isa, mem, snap);
     const DomainId d = region.domain;
 
     // Gate addresses registered in the SGT, for property (ii) checks.
     std::map<Addr, GateId> gate_at;
     std::set<DomainId> hccalls_dests;
     for (GateId id = 0; id < policy.numGates(); ++id) {
-        SgtEntry e = policy.gate(id);
+        const SgtEntry &e = policy.gate(id).entry;
         gate_at.emplace(e.gate_addr, id);
         DecodedInst gi = decodeAt(isa, mem, e.gate_addr);
         if (gi.valid && gi.cls == InstClass::GateCallS)
@@ -307,8 +283,8 @@ Verifier::scanRegion(const CodeRegion &region, RegionScan &scan,
             scan.usedTypes.insert(inst.type);
 
         // --- instruction bitmap (Section 4.1) ---
-        if (d != 0 && inst.type != invalidInstType &&
-            !policy.instAllowed(d, inst.type)) {
+        if (inst.type != invalidInstType &&
+            !policy.inst(d, inst.type).allowed()) {
             report.add(Severity::Violation, "inst-privilege", d, pc,
                        std::string(inst.mnemonic) + " (type " +
                            std::to_string(inst.type) +
@@ -353,7 +329,7 @@ Verifier::scanRegion(const CodeRegion &region, RegionScan &scan,
                 if (index != invalidCsrIndex) {
                     if (is_read) {
                         scan.usedReads.insert(index);
-                        if (!policy.csrReadAllowed(d, index)) {
+                        if (!policy.csrRead(d, csr).allowed()) {
                             report.add(Severity::Violation, "csr-read",
                                        d, pc,
                                        std::string(inst.mnemonic) +
@@ -362,21 +338,20 @@ Verifier::scanRegion(const CodeRegion &region, RegionScan &scan,
                         }
                     } else {
                         scan.usedWrites.insert(index);
-                        if (!policy.csrWriteAllowed(d, index)) {
-                            CsrIndex mi = isa.csrMaskIndex(csr);
-                            if (mi == invalidCsrIndex ||
-                                policy.mask(d, mi) == 0) {
-                                report.add(
-                                    Severity::Violation, "csr-write", d,
-                                    pc,
-                                    std::string(inst.mnemonic) +
-                                        " writes CSR " + hex(csr) +
-                                        " without the write bit" +
-                                        (mi == invalidCsrIndex
-                                             ? ""
-                                             : " and with an all-zero "
-                                               "bit-mask"));
-                            }
+                        const Verdict v = policy.csrWrite(d, csr);
+                        if (!v.allowed() &&
+                            !(v.maskDecides() && v.mask != 0)) {
+                            report.add(
+                                Severity::Violation, "csr-write", d, pc,
+                                std::string(inst.mnemonic) +
+                                    " writes CSR " + hex(csr) +
+                                    (v.fault == FaultType::MemoryFault
+                                         ? " through a table outside "
+                                           "physical memory"
+                                     : v.masked
+                                         ? " without the write bit and "
+                                           "with an all-zero bit-mask"
+                                         : " without the write bit"));
                         }
                     }
                 }
@@ -402,12 +377,12 @@ Verifier::scanRegion(const CodeRegion &region, RegionScan &scan,
                                    " out of range (gatenr " +
                                    std::to_string(policy.numGates()) +
                                    ")");
-                } else if (policy.gate(*id).gate_addr != pc) {
+                } else if (policy.gate(*id).entry.gate_addr != pc) {
                     report.add(Severity::Violation, "gate-id-mismatch",
                                d, pc,
                                "gate id " + std::to_string(*id) +
                                    " is registered for " +
-                                   hex(policy.gate(*id).gate_addr) +
+                                   hex(policy.gate(*id).entry.gate_addr) +
                                    ", not this address");
                 }
             }
@@ -451,14 +426,13 @@ Verifier::scanMisaligned(const CodeRegion &region, const RegionScan &scan,
     if (region.limit <= region.base || region.limit > mem.size())
         return;
 
-    PolicyView policy(isa, mem, snap);
     const bool x86 = isa.name() == "x86";
     const DomainId d = region.domain;
     const Addr step = x86 ? 1 : 2;
 
     std::set<Addr> gate_addrs;
     for (GateId id = 0; id < policy.numGates(); ++id)
-        gate_addrs.insert(policy.gate(id).gate_addr);
+        gate_addrs.insert(policy.gate(id).entry.gate_addr);
 
     std::vector<std::uint8_t> bytes(region.limit - region.base);
     mem.readBlock(region.base, bytes.data(), bytes.size());
@@ -494,16 +468,11 @@ Verifier::scanMisaligned(const CodeRegion &region, const RegionScan &scan,
         if (!sensitive)
             continue;
         bool permitted = inst.type == invalidInstType ||
-                         policy.instAllowed(d, inst.type);
+                         policy.inst(d, inst.type).allowed();
         if (permitted && inst.cls == InstClass::CsrWrite &&
             inst.csr_addr != ~0u) {
-            CsrIndex index = isa.csrBitmapIndex(inst.csr_addr);
-            if (index != invalidCsrIndex &&
-                !policy.csrWriteAllowed(d, index)) {
-                CsrIndex mi = isa.csrMaskIndex(inst.csr_addr);
-                permitted =
-                    mi != invalidCsrIndex && policy.mask(d, mi) != 0;
-            }
+            const Verdict v = policy.csrWrite(d, inst.csr_addr);
+            permitted = v.allowed() || (v.maskDecides() && v.mask != 0);
         }
         if (permitted) {
             report.add(Severity::Warning, "hidden-sensitive", d, pc,
@@ -523,7 +492,6 @@ void
 Verifier::checkGateTargets(const std::vector<RegionScan> &scans,
                            VerifyReport &report) const
 {
-    PolicyView policy(isa, mem, snap);
 
     auto scanFor = [&](const CodeRegion *r) -> const RegionScan * {
         for (const auto &s : scans)
@@ -534,7 +502,7 @@ Verifier::checkGateTargets(const std::vector<RegionScan> &scans,
 
     // Gate and destination addresses must be instruction boundaries.
     for (GateId id = 0; id < policy.numGates(); ++id) {
-        SgtEntry e = policy.gate(id);
+        const SgtEntry e = policy.gate(id).entry;
         std::string tag = "gate " + std::to_string(id);
         if (const CodeRegion *src = regionOf(e.gate_addr)) {
             const RegionScan *s = scanFor(src);
@@ -589,7 +557,6 @@ Verifier::checkGateTargets(const std::vector<RegionScan> &scans,
 void
 Verifier::checkTransitionGraph(VerifyReport &report) const
 {
-    PolicyView policy(isa, mem, snap);
     const DomainId domains = policy.numDomains();
     if (domains == 0)
         return;
@@ -598,9 +565,10 @@ Verifier::checkTransitionGraph(VerifyReport &report) const
     // to the destination domain.
     std::map<DomainId, std::set<DomainId>> edges;
     for (GateId id = 0; id < policy.numGates(); ++id) {
-        SgtEntry e = policy.gate(id);
+        const Verdict call = policy.gate(id);
+        const SgtEntry &e = call.entry;
         const CodeRegion *src = regionOf(e.gate_addr);
-        if (src == nullptr || e.dest_domain >= domains)
+        if (src == nullptr || call.fault == FaultType::GateFault)
             continue; // already a structural violation
         edges[src->domain].insert(e.dest_domain);
         if (src->domain != 0 && e.dest_domain == 0) {
@@ -641,7 +609,6 @@ void
 Verifier::lintLeastPrivilege(const std::vector<RegionScan> &scans,
                              VerifyReport &report) const
 {
-    PolicyView policy(isa, mem, snap);
     const DomainId domains = policy.numDomains();
 
     std::set<InstTypeId> baseline;
@@ -669,7 +636,7 @@ Verifier::lintLeastPrivilege(const std::vector<RegionScan> &scans,
             continue;
         std::string types;
         for (InstTypeId t = 0; t < isa.numInstTypes(); ++t) {
-            if (baseline.count(t) || !policy.instAllowed(d, t) ||
+            if (baseline.count(t) || !policy.inst(d, t).allowed() ||
                 m.usedTypes.count(t))
                 continue;
             append(types, isa.instTypeName(t));
@@ -679,9 +646,11 @@ Verifier::lintLeastPrivilege(const std::vector<RegionScan> &scans,
                        "granted but never executed: " + types);
         }
         std::string csrs;
-        for (CsrIndex i = 0; i < isa.numControlledCsrs(); ++i) {
-            bool r = policy.csrReadAllowed(d, i) && !m.usedReads.count(i);
-            bool w = policy.csrWriteAllowed(d, i) &&
+        const auto &csr_addrs = isa.controlledCsrAddrs();
+        for (CsrIndex i = 0; i < csr_addrs.size(); ++i) {
+            bool r = policy.csrRead(d, csr_addrs[i]).allowed() &&
+                     !m.usedReads.count(i);
+            bool w = policy.csrWrite(d, csr_addrs[i]).allowed() &&
                      !m.usedWrites.count(i);
             if (r || w) {
                 append(csrs, "index " + std::to_string(i) + " (" +

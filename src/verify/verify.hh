@@ -155,6 +155,7 @@ class Verifier
     const IsaModel &isa;
     const PhysMem &mem;
     PolicySnapshot snap;
+    PolicyView policy;
     std::vector<CodeRegion> regions;
     VerifyOptions options;
 };

@@ -7,14 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "isa/riscv/riscv_isa.hh"
+#include "isa/x86/x86_isa.hh"
 #include "isagrid/domain_manager.hh"
 #include "isagrid/pcu.hh"
+#include "isagrid/policy_view.hh"
 #include "isagrid/privilege_set.hh"
 #include "mem/phys_mem.hh"
-#include "verify/image_scan.hh"
+#include "sim/random.hh"
 
 using namespace isagrid;
 using namespace isagrid::riscv;
@@ -765,52 +768,173 @@ TEST(PcuBus, OffBusTrustedStackFaultsWithoutSwitching)
     EXPECT_EQ(env.pcu.trustedStackFrames(frames, 4), 0u);
 }
 
+namespace {
+
+/**
+ * A random table base register: on the bus, straddling the end of
+ * memory (some rows on, some off, possibly unaligned), or within 8
+ * bytes of 2^64 (rows of later domains wrap around to low addresses).
+ */
+Addr
+randomBase(SplitMix64 &rng, std::uint64_t mem_size, std::uint64_t bytes)
+{
+    switch (rng.below(3)) {
+      case 0: return rng.below(mem_size - bytes) & ~Addr{7};
+      case 1: return mem_size - rng.below(bytes + 8);
+      default: return ~Addr{0} - rng.below(8);
+    }
+}
+
+/** Sparse random bit flips, sometimes none. */
+RegVal
+randomFlips(SplitMix64 &rng)
+{
+    return rng.chance(1, 4) ? 0 : rng.next() & rng.next() & rng.next();
+}
+
+/** PolicyViewPredictsTheMemoryFault over one ISA model. */
+void
+checkPolicyViewAgainstPcu(const IsaModel &isa, std::uint64_t seed)
+{
+    const PcuConfig unified = [] {
+        PcuConfig c = PcuConfig::config8E();
+        c.unified_hpt_cache = true;
+        return c;
+    }();
+    const PcuConfig no_bypass = [] {
+        PcuConfig c = PcuConfig::config8E();
+        c.bypass_enabled = false;
+        return c;
+    }();
+    const PcuConfig configs[] = {
+        PcuConfig::config8E(), PcuConfig::config16E(),
+        PcuConfig::config8EN(), no_bypass, unified, {1, 1, true, 100, 0},
+    };
+    const HptLayout hpt(isa.numInstTypes(), isa.numControlledCsrs(),
+                        isa.numMaskableCsrs());
+    std::vector<std::uint32_t> csrs = isa.controlledCsrAddrs();
+    csrs.push_back(0x7c0); // not controlled: outside ISA-Grid's scope
+    SplitMix64 rng(seed);
+
+    for (int trial = 0; trial < 40; ++trial) {
+        PhysMem mem(4096);
+        for (Addr a = 0; a < mem.size(); a += 8)
+            mem.write64(a, rng.next());
+        const DomainId domains = rng.below(6);
+        const GateId gates = rng.below(6);
+        const std::uint64_t rows = domains + 2;
+        const Addr gate_base =
+            randomBase(rng, mem.size(), SgtEntry::sizeBytes * (gates + 1));
+        for (GateId g = 0; g <= gates; ++g) {
+            Addr a = sgtEntryAddr(gate_base, g);
+            if (a < mem.size() && mem.size() - a >= SgtEntry::sizeBytes)
+                sgtWrite(mem, gate_base, g,
+                         {rng.below(64) * 4, rng.next(),
+                          rng.below(domains + 2)});
+        }
+        PolicySnapshot snap;
+        auto set = [&snap](GridReg r, RegVal v) {
+            snap.regs[static_cast<std::size_t>(r)] = v;
+        };
+        set(GridReg::InstCap,
+            randomBase(rng, mem.size(), hpt.instStride() * rows));
+        set(GridReg::CsrCap,
+            randomBase(rng, mem.size(), hpt.regStride() * rows));
+        set(GridReg::CsrBitMask,
+            randomBase(rng, mem.size(), hpt.maskStride() * rows));
+        set(GridReg::GateAddr, gate_base);
+        set(GridReg::DomainNr, domains);
+        set(GridReg::GateNr, gates);
+        const PolicyView view(isa, mem, snap);
+        const std::uint64_t draws = rng.next();
+
+        for (const PcuConfig &config : configs) {
+            PrivilegeCheckUnit pcu(isa, mem, config);
+            for (std::uint8_t r = 0; r < numGridRegs; ++r)
+                pcu.setGridReg(GridReg(r), snap.regs[r]);
+            SplitMix64 values(draws); // the same operands per config
+            for (DomainId d = 0; d < rows; ++d) {
+                auto enter = [&pcu, d] {
+                    pcu.setGridReg(GridReg::Domain, d);
+                    pcu.flushBuffers(PcuBuffer::InstCache);
+                };
+                enter();
+                for (InstTypeId t = 0; t < isa.numInstTypes(); ++t) {
+                    const Verdict v = view.inst(d, t);
+                    ASSERT_EQ(pcu.checkInstruction(t).fault, v.fault)
+                        << "trial " << trial << " domain " << d
+                        << " type " << t;
+                    if (d == 0) {
+                        EXPECT_TRUE(v.allowed());
+                    }
+                }
+                for (std::uint32_t csr : csrs) {
+                    const RegVal old_value = values.next();
+                    const RegVal new_value =
+                        old_value ^ randomFlips(values);
+                    const Verdict r = view.csrRead(d, csr);
+                    const Verdict w = view.csrWrite(d, csr);
+                    ASSERT_EQ(pcu.checkCsrRead(csr).fault, r.fault)
+                        << "trial " << trial << " domain " << d
+                        << " csr " << csr;
+                    ASSERT_EQ(pcu.checkCsrWrite(csr, old_value, new_value)
+                                  .fault,
+                              w.write(old_value, new_value))
+                        << "trial " << trial << " domain " << d
+                        << " csr " << csr;
+                    if (d == 0) {
+                        EXPECT_TRUE(r.allowed() && w.allowed());
+                    }
+                }
+                for (GateId g = 0; g <= gates; ++g) {
+                    const Addr registered = view.gate(g).entry.gate_addr;
+                    for (Addr pc : {registered, Addr(values.below(64) * 4)}) {
+                        const Verdict v = view.gateCall(g, pc);
+                        const GateOutcome out = pcu.gateCall(g, pc, false);
+                        ASSERT_EQ(out.fault, v.fault)
+                            << "trial " << trial << " gate " << g;
+                        if (out.ok) {
+                            EXPECT_EQ(out.dest_domain, v.entry.dest_domain);
+                            EXPECT_EQ(out.dest_pc, v.entry.dest_addr);
+                            enter();
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
 TEST(PcuBus, PolicyViewPredictsTheMemoryFault)
 {
-    // The analyses' view of the tables names exactly the walks the PCU
-    // faults on, with and without the bypass register, and reads them
-    // as deny.
-    for (bool bypass : {true, false}) {
-        PcuConfig config = PcuConfig::config8E();
-        config.bypass_enabled = bypass;
-        for (GridReg reg : {GridReg::InstCap, GridReg::CsrCap,
-                            GridReg::CsrBitMask, GridReg::GateAddr}) {
-            PcuEnv env(config);
-            DomainId d = env.dm.createBaselineDomain();
-            GateId g = env.dm.registerGate(0x1000, 0x2000, d);
-            env.dm.publish();
-            env.pcu.setGridReg(reg, kOffBus);
-            PolicySnapshot snap = PolicySnapshot::fromPcu(env.pcu);
-            PolicyView view(env.isa, env.mem, snap);
-            CsrIndex sepc = env.isa.csrBitmapIndex(CSR_SEPC);
-            CsrIndex sstatus = env.isa.csrMaskIndex(CSR_SSTATUS);
-            const bool inst = reg != GridReg::InstCap;
-            const bool csr = reg != GridReg::CsrCap;
-            const bool mask = reg != GridReg::CsrBitMask;
-            const bool gate = reg != GridReg::GateAddr;
-            EXPECT_EQ(view.instOnBus(d), inst) << int(reg);
-            EXPECT_EQ(view.csrOnBus(d, sepc), csr) << int(reg);
-            EXPECT_EQ(view.maskOnBus(d, sstatus), mask) << int(reg);
-            EXPECT_EQ(view.gateOnBus(g), gate) << int(reg);
-            EXPECT_TRUE(view.instOnBus(0)) << "domain-0 is unchecked";
-            if (!inst) {
-                EXPECT_FALSE(view.instAllowed(d, IT_ADD));
-            }
+    // Property: the analyses' verdict names the PCU's outcome — the
+    // MemoryFault of a walk off the bus included — for every domain,
+    // instruction type, CSR read and write and gate call, over random
+    // tables and base registers, under every cache configuration.
+    checkPolicyViewAgainstPcu(RiscvIsa(), 0x15a9);
+    checkPolicyViewAgainstPcu(x86::X86Isa(), 0x9d1d);
+}
 
-            env.enter(d);
-            EXPECT_EQ(env.pcu.checkInstruction(IT_ADD).fault ==
-                          FaultType::MemoryFault,
-                      !inst);
-            EXPECT_EQ(env.pcu.checkCsrRead(CSR_SEPC).fault ==
-                          FaultType::MemoryFault,
-                      !csr);
-            EXPECT_EQ(env.pcu.checkCsrWrite(CSR_SSTATUS, 0, SSTATUS_SIE)
-                              .fault == FaultType::MemoryFault,
-                      !csr || !mask);
-            env.enter(0);
-            EXPECT_EQ(env.pcu.gateCall(g, 0x1000, false).fault ==
-                          FaultType::MemoryFault,
-                      !gate);
+TEST(PcuBus, FrameReturnVerdictMatchesThePcu)
+{
+    // hcrets pops a frame whose source domain must be non-zero and
+    // configured (any domain when domain-nr is 0).
+    for (DomainId domains : {0u, 1u, 4u}) {
+        for (DomainId src = 0; src < 6; ++src) {
+            PcuEnv env;
+            env.pcu.setGridReg(GridReg::DomainNr, domains);
+            env.pcu.setGridReg(GridReg::Hcsb, 0x1000);
+            env.pcu.setGridReg(GridReg::Hcsl, 0x1100);
+            env.pcu.setGridReg(GridReg::Hcsp, 0x1010);
+            env.mem.write64(0x1000, 0x4000);
+            env.mem.write64(0x1008, src);
+            PolicyView view(env.isa, env.mem,
+                            PolicySnapshot::fromPcu(env.pcu));
+            EXPECT_EQ(env.pcu.gateReturn().fault,
+                      view.frameReturn(src).fault)
+                << "domains " << domains << " src " << src;
         }
     }
 }
@@ -818,12 +942,26 @@ TEST(PcuBus, PolicyViewPredictsTheMemoryFault)
 TEST(PcuBus, PrivilegeSetReadsAWrappingTableAsDeny)
 {
     // The static view of the same tables: a row address within 8 bytes
-    // of 2^64 must read as deny, not wrap past the bound check.
+    // of 2^64 must read as deny, not wrap past the bound check — so
+    // every controlled CSR is high for the domain.
     PcuEnv env;
     DomainId d = env.dm.createBaselineDomain();
+    env.dm.allowCsrRead(d, CSR_SEPC);
     env.dm.publish();
     env.pcu.setGridReg(GridReg::InstCap,
                        ~Addr{0} - 3 - d * env.pcu.layout().instStride());
-    PrivilegeSet priv(env.isa, env.mem, env.pcu);
-    EXPECT_FALSE(priv.instAllowed(d, IT_ADD));
+    env.pcu.setGridReg(GridReg::CsrCap,
+                       ~Addr{0} - 3 - d * env.pcu.layout().regStride());
+    PolicyView view(env.isa, env.mem, PolicySnapshot::fromPcu(env.pcu));
+    EXPECT_EQ(view.inst(d, IT_ADD).fault, FaultType::MemoryFault);
+    EXPECT_EQ(view.csrRead(d, CSR_SEPC).fault, FaultType::MemoryFault);
+    std::vector<std::uint32_t> high = PrivilegeSet::highCsrs(view, d);
+    EXPECT_NE(std::find(high.begin(), high.end(), CSR_SSTATUS), high.end());
+    for (std::uint32_t csr : env.isa.controlledCsrAddrs()) {
+        bool expected = !env.isa.isGridReg(csr) &&
+                        !PrivilegeSet::implicitInput(env.isa, csr);
+        EXPECT_EQ(std::find(high.begin(), high.end(), csr) != high.end(),
+                  expected)
+            << csr;
+    }
 }
