@@ -27,6 +27,7 @@
 #include "cpu/decode_cache.hh"
 #include "cpu/machine.hh"
 #include "isa/disasm.hh"
+#include "isa/riscv/opcodes.hh"
 #include "kernel/kernel_builder.hh"
 #include "kernel/layout.hh"
 #include "verify/superset.hh"
@@ -209,6 +210,77 @@ TEST(Superset, HiddenChainAttacksFlaggedAndConfirmed)
         EXPECT_EQ(full.findings().front().verdict,
                   XscanVerdict::Confirmed);
     }
+}
+
+/**
+ * The prediction is the PCU's verdict: a hidden privileged instruction
+ * whose domain's instruction-bitmap row lies off the bus faults with
+ * MemoryFault, not InstPrivilege, and the probe confirms it.
+ */
+TEST(Superset, OffBusInstructionRowPredictsMemoryFault)
+{
+    for (bool x86 : {true, false}) {
+        const std::string name =
+            x86 ? "Hidden instruction chain (immediates)"
+                : "Hidden instruction chain (carrier words)";
+        XscanScenario scenario = attackScenarioFor(x86, name);
+        ASSERT_TRUE(scenario.build);
+        scenario.build = [build = scenario.build] {
+            auto m = build();
+            m->pcu().setGridReg(GridReg::InstCap, 0x7ffffffff000);
+            return m;
+        };
+        XscanReport report = runXscan(scenario);
+        ASSERT_EQ(report.violations(), 1u) << name << "\n" << report.text();
+        const XscanFinding &f = report.findings().front();
+        EXPECT_EQ(f.check, "ui-priv-escape");
+        EXPECT_EQ(f.expect, FaultType::MemoryFault);
+        EXPECT_EQ(f.verdict, XscanVerdict::Confirmed) << report.text();
+    }
+}
+
+/**
+ * A hidden write of a bit-maskable CSR whose write bit is clear and
+ * whose mask is all zero takes the bit-mask path: the PCU raises
+ * CsrMaskViolation for any change of the value, not CsrPrivilege.
+ */
+TEST(Superset, AllZeroBitMaskPredictsMaskViolation)
+{
+    AttackScenario s;
+    s.name = "hidden sstatus write under an all-zero bit-mask";
+    s.configure = [](Machine &m, const KernelImage &image) {
+        for (InstTypeId t = 0; t < m.isa().numInstTypes(); ++t) {
+            if (std::string(m.isa().instTypeName(t)) == "csrrwi")
+                m.domains().allowInstruction(image.kernel_domain, t);
+        }
+        m.domains().revokeCsrWrite(image.kernel_domain, riscv::CSR_SSTATUS);
+        m.domains().setCsrMask(image.kernel_domain, riscv::CSR_SSTATUS, 0);
+        m.domains().publish();
+    };
+    s.emit = [](AsmIface &a) {
+        // At island+2: csrrwi x0, sstatus, 2 — setting SIE changes the
+        // reset value, which an all-zero mask rejects.
+        Addr island = a.here();
+        a.rawBytes({0x13, 0x00, 0x73, 0x50, 0x01, 0x10, 0x00, 0x00});
+        Addr entry = a.here();
+        a.jmpAbs(island + 2, a.regTmp(0));
+        return entry;
+    };
+    XscanScenario scenario;
+    scenario.build = [s] {
+        return std::move(prepareAttack(s, false, true).machine);
+    };
+    PreparedAttack probe = prepareAttack(s, false, true);
+    scenario.entries = {probe.image.boot_pc, probe.image.trap_entry,
+                        probe.payload_entry};
+    scenario.code_regions = probe.image.code_regions;
+
+    XscanReport report = runXscan(scenario);
+    ASSERT_EQ(report.violations(), 1u) << report.text();
+    const XscanFinding &f = report.findings().front();
+    EXPECT_EQ(f.check, "ui-priv-escape");
+    EXPECT_EQ(f.expect, FaultType::CsrMaskViolation);
+    EXPECT_EQ(f.verdict, XscanVerdict::Confirmed) << report.text();
 }
 
 /**
