@@ -66,7 +66,9 @@ dischargeMaskObserve(const ContractScenario &scenario,
     const PolicyView policy(a->isa(), a->mem(),
                             PolicySnapshot::fromPcu(a->pcu()));
 
-    if (policy.csrRead(finding.domain, finding.csr_addr).allowed()) {
+    const IsaModel &isa = a->isa();
+    if (policy.csrRead(finding.domain, isa.csrBitmapIndex(finding.csr_addr))
+            .allowed()) {
         // Carried-flow case: image-grounded lockstep.
         scenario.position(*a);
         scenario.position(*b);
@@ -93,7 +95,9 @@ dischargeMaskObserve(const ContractScenario &scenario,
     // Self-high case: direct capability probe. Position first —
     // reset() reinitialises the whole architectural state, so the
     // perturbation must land after it.
-    RegVal mask = policy.csrMask(finding.domain, finding.csr_addr).mask;
+    RegVal mask =
+        policy.csrMask(finding.domain, isa.csrMaskIndex(finding.csr_addr))
+            .mask;
     RegVal bit = mask & (~mask + 1);
     a->core().reset(probeBase);
     b->core().reset(probeBase);

@@ -11,10 +11,12 @@ namespace isagrid {
 
 namespace {
 
-/** One controlled CSR. */
+/** One controlled CSR with its Section 4.1 indices. */
 struct TrackedCsr
 {
     std::uint32_t addr = 0;
+    CsrIndex bitmap_index = invalidCsrIndex;
+    CsrIndex mask_index = invalidCsrIndex;
     bool high = false; //!< outside the target's read set
 };
 
@@ -51,12 +53,14 @@ struct RelChecker
                 continue;
             if (!probe.csrs.exists(addr))
                 continue;
-            if (isa.csrBitmapIndex(addr) == invalidCsrIndex)
-                continue;
             TrackedCsr c;
             c.addr = addr;
+            c.bitmap_index = isa.csrBitmapIndex(addr);
+            c.mask_index = isa.csrMaskIndex(addr);
+            if (c.bitmap_index == invalidCsrIndex)
+                continue;
             c.high = !PrivilegeSet::implicitInput(isa, addr) &&
-                     !policy.csrRead(target, addr).allowed();
+                     !policy.csrRead(target, c.bitmap_index).allowed();
             // The carry sets are 64-bit: cap the tracked list (both
             // ISA models control far fewer CSRs than that).
             if (csrs.size() < 64)
@@ -120,7 +124,7 @@ struct RelChecker
             // --- permitted reads: a differing value moves into the
             // reader's registers ---
             if (diff != 0 && d < carryWords &&
-                policy.csrRead(d, c.addr).allowed() &&
+                policy.csrRead(d, c.bitmap_index).allowed() &&
                 (carry & (std::uint64_t{1} << i)) == 0) {
                 ex.successor(id)[carry_word] |= std::uint64_t{1} << i;
                 ex.follow(*this, id, [&] {
@@ -135,7 +139,8 @@ struct RelChecker
             }
 
             // --- permitted writes ---
-            const Verdict write = policy.csrWrite(d, c.addr);
+            const Verdict write =
+                policy.csrWrite(d, c.bitmap_index, c.mask_index);
             if (write.allowed()) {
                 // Full write: the written value comes from registers —
                 // equal across the pair unless the writer carries high
@@ -152,7 +157,8 @@ struct RelChecker
                                    "copies";
                     return s;
                 };
-                if (carry != 0 && policy.csrRead(target, c.addr).allowed()) {
+                if (carry != 0 &&
+                    policy.csrRead(target, c.bitmap_index).allowed()) {
                     std::vector<TraceStep> trace = ex.pathTo(id);
                     trace.push_back(step());
                     addFinding(

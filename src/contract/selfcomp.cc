@@ -263,7 +263,8 @@ runSelfComposition(const ContractScenario &scenario,
                         continue;
                     if (!a->core().state().csrs.exists(csr))
                         continue;
-                    if (policy.csrRead(target, csr).allowed())
+                    if (policy.csrRead(target, a->isa().csrBitmapIndex(csr))
+                            .allowed())
                         low_csrs.push_back(csr);
                 }
             }

@@ -193,7 +193,9 @@ PrivilegeCheckUnit::checkCsrRead(std::uint32_t csr_addr)
     ++csrReadChecks;
     CheckOutcome out;
     CachedWalk walk{*this, out.stall};
-    settle(out, rules::csrRead(walk, currentDomain(), csr_addr).fault);
+    settle(out, rules::csrRead(walk, currentDomain(),
+                               isa_.csrBitmapIndex(csr_addr))
+                    .fault);
     ISAGRID_TRACE_EVENT(trace_, TraceKind::CsrReadCheck, csr_addr,
                         out.stall, out.allowed ? 1 : 0);
     return out;
@@ -206,7 +208,9 @@ PrivilegeCheckUnit::checkCsrWrite(std::uint32_t csr_addr, RegVal old_value,
     ++csrWriteChecks;
     CheckOutcome out;
     CachedWalk walk{*this, out.stall};
-    settle(out, rules::csrWrite(walk, currentDomain(), csr_addr)
+    settle(out, rules::csrWrite(walk, currentDomain(),
+                                isa_.csrBitmapIndex(csr_addr),
+                                isa_.csrMaskIndex(csr_addr))
                     .write(old_value, new_value));
     ISAGRID_TRACE_EVENT(trace_, TraceKind::CsrWriteCheck, csr_addr,
                         out.stall, out.allowed ? 1 : 0);
@@ -446,13 +450,10 @@ CheckOutcome
 PrivilegeCheckUnit::readGridReg(GridReg reg, RegVal &value) const
 {
     CheckOutcome out;
-    bool public_reg = reg == GridReg::Domain || reg == GridReg::PDomain;
-    if (!public_reg && currentDomain() != 0) {
-        out.fault = FaultType::CsrPrivilege;
-        return out;
-    }
-    value = gridRegs[idx(reg)];
-    out.allowed = true;
+    out.fault = rules::gridReg(currentDomain(), reg, false).fault;
+    out.allowed = out.fault == FaultType::None;
+    if (out.allowed)
+        value = gridRegs[idx(reg)];
     return out;
 }
 
@@ -460,20 +461,9 @@ CheckOutcome
 PrivilegeCheckUnit::writeGridReg(GridReg reg, RegVal value)
 {
     CheckOutcome out;
-    // domain/pdomain are moved only by the switching engine; normal CSR
-    // writes can never change them, even from domain-0 (Section 5.1).
-    if (reg == GridReg::Domain || reg == GridReg::PDomain) {
-        out.fault = FaultType::CsrPrivilege;
-        ++faultCount;
-        return out;
-    }
-    if (currentDomain() != 0) {
-        out.fault = FaultType::CsrPrivilege;
-        ++faultCount;
-        return out;
-    }
-    setGridReg(reg, value);
-    out.allowed = true;
+    settle(out, rules::gridReg(currentDomain(), reg, true).fault);
+    if (out.allowed)
+        setGridReg(reg, value);
     return out;
 }
 

@@ -423,7 +423,6 @@ class PrivilegeCheckUnit
 
         RegVal reg(GridReg r) const { return pcu.gridRegs[idx(r)]; }
         const HptLayout &layout() const { return pcu.hpt; }
-        const IsaModel &isa() const { return pcu.isa_; }
 
         bool
         word(HptKind kind, DomainId domain, std::uint32_t index,

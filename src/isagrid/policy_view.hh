@@ -74,21 +74,22 @@ class PolicyView
     {
         return rules::instruction(*this, d, type);
     }
+    /** CSRs by register-bitmap and bit-mask index (privilege_rules.hh). */
     Verdict
-    csrRead(DomainId d, std::uint32_t csr_addr) const
+    csrRead(DomainId d, CsrIndex index) const
     {
-        return rules::csrRead(*this, d, csr_addr);
+        return rules::csrRead(*this, d, index);
     }
     Verdict
-    csrWrite(DomainId d, std::uint32_t csr_addr) const
+    csrWrite(DomainId d, CsrIndex index, CsrIndex mask_index) const
     {
-        return rules::csrWrite(*this, d, csr_addr);
+        return rules::csrWrite(*this, d, index, mask_index);
     }
     /** The bit-mask path alone, whatever the write bit says. */
     Verdict
-    csrMask(DomainId d, std::uint32_t csr_addr) const
+    csrMask(DomainId d, CsrIndex mask_index) const
     {
-        return rules::csrMask(*this, d, csr_addr);
+        return rules::csrMask(*this, d, mask_index);
     }
     Verdict
     gateCall(GateId id, Addr pc) const

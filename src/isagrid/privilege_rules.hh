@@ -11,13 +11,14 @@
  *
  *   RegVal reg(GridReg r) const;             // the Table 2 registers
  *   const HptLayout &layout() const;
- *   const IsaModel &isa() const;
  *   bool word(HptKind kind, DomainId d, std::uint32_t index, Addr addr,
  *             std::uint64_t &out);           // one HPT word
  *   bool entry(GateId id, Addr addr, SgtEntry &out);  // one SGT entry
  *
  * word() and entry() return false when the read leaves physical
- * memory: the PCU raises MemoryFault for such a walk. The PCU's source
+ * memory: the PCU raises MemoryFault for such a walk. A CSR is named
+ * by its register-bitmap and bit-mask indices (IsaModel::csrBitmapIndex
+ * and csrMaskIndex; invalidCsrIndex where it has none). The PCU's source
  * is its cached walk (privilege caches, bypass register, stalls); the
  * analyses' is PolicyView, a bus-checked direct read of guest memory.
  */
@@ -28,7 +29,7 @@
 #include <cstdint>
 
 #include "isa/grid_regs.hh"
-#include "isa/isa_model.hh"
+#include "isa/inst.hh"
 #include "isagrid/hpt.hh"
 #include "isagrid/sgt.hh"
 #include "sim/logging.hh"
@@ -121,16 +122,13 @@ regWord(Source &src, DomainId d, CsrIndex index, std::uint64_t &word)
                     word);
 }
 
-/** Read permission of an explicitly accessed CSR. */
+/** Read permission of the CSR at register-bitmap index @p index. */
 template <class Source>
 Verdict
-csrRead(Source &src, DomainId d, std::uint32_t csr_addr)
+csrRead(Source &src, DomainId d, CsrIndex index)
 {
-    if (d == 0)
-        return {};
-    const CsrIndex index = src.isa().csrBitmapIndex(csr_addr);
-    if (index == invalidCsrIndex)
-        return {}; // uncontrolled CSR: outside ISA-Grid's scope
+    if (d == 0 || index == invalidCsrIndex)
+        return {}; // an uncontrolled CSR is outside ISA-Grid's scope
     std::uint64_t word = 0;
     if (!regWord(src, d, index, word))
         return {FaultType::MemoryFault};
@@ -140,17 +138,16 @@ csrRead(Source &src, DomainId d, std::uint32_t csr_addr)
 }
 
 /**
- * The bit-mask path of a CSR write: the domain's mask word for
- * @p csr_addr (all bits for domain-0). A CSR without a bit-mask entry
- * has no such path: the write is a CsrPrivilege fault.
+ * The bit-mask path of a CSR write: the domain's mask word at
+ * bit-mask index @p mask_index (all bits for domain-0). A CSR without
+ * a bit-mask entry has no such path: the write is a CsrPrivilege fault.
  */
 template <class Source>
 Verdict
-csrMask(Source &src, DomainId d, std::uint32_t csr_addr)
+csrMask(Source &src, DomainId d, CsrIndex mask_index)
 {
     if (d == 0)
         return {FaultType::None, true, ~RegVal{0}};
-    const CsrIndex mask_index = src.isa().csrMaskIndex(csr_addr);
     if (mask_index == invalidCsrIndex)
         return {FaultType::CsrPrivilege};
     std::uint64_t mask = 0;
@@ -169,19 +166,32 @@ csrMask(Source &src, DomainId d, std::uint32_t csr_addr)
  */
 template <class Source>
 Verdict
-csrWrite(Source &src, DomainId d, std::uint32_t csr_addr)
+csrWrite(Source &src, DomainId d, CsrIndex index, CsrIndex mask_index)
 {
-    if (d == 0)
-        return {};
-    const CsrIndex index = src.isa().csrBitmapIndex(csr_addr);
-    if (index == invalidCsrIndex)
+    if (d == 0 || index == invalidCsrIndex)
         return {};
     std::uint64_t word = 0;
     if (!regWord(src, d, index, word))
         return {FaultType::MemoryFault};
     if ((word >> HptLayout::regWriteBit(index)) & 1)
         return {};
-    return csrMask(src, d, csr_addr);
+    return csrMask(src, d, mask_index);
+}
+
+/**
+ * A CSR instruction's access to ISA-Grid register @p reg (Table 2):
+ * domain and pdomain are readable from every domain and moved only by
+ * the switching engine, never written, even from domain-0 (Section
+ * 5.1); every other register is domain-0's alone.
+ */
+inline Verdict
+gridReg(DomainId d, GridReg reg, bool write)
+{
+    const bool domain_reg =
+        reg == GridReg::Domain || reg == GridReg::PDomain;
+    if (write ? domain_reg || d != 0 : !domain_reg && d != 0)
+        return {FaultType::CsrPrivilege};
+    return {};
 }
 
 /**

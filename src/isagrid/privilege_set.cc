@@ -17,15 +17,16 @@ std::vector<std::uint32_t>
 PrivilegeSet::highCsrs(const PolicyView &policy, DomainId target)
 {
     const IsaModel &isa = policy.isa();
+    const auto &csrs = isa.controlledCsrAddrs(); // in bitmap-index order
     std::vector<std::uint32_t> high;
-    for (std::uint32_t csr : isa.controlledCsrAddrs()) {
-        if (isa.isGridReg(csr))
+    for (CsrIndex i = 0; i < csrs.size(); ++i) {
+        if (isa.isGridReg(csrs[i]))
             continue;
-        if (implicitInput(isa, csr))
+        if (implicitInput(isa, csrs[i]))
             continue;
-        if (policy.csrRead(target, csr).allowed())
+        if (policy.csrRead(target, i).allowed())
             continue;
-        high.push_back(csr);
+        high.push_back(csrs[i]);
     }
     return high;
 }

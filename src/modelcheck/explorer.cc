@@ -67,7 +67,7 @@ Explorer::pathTo(std::uint32_t node) const
 TraceStep
 Explorer::gateStep(GateId gid, DomainId from, DomainId to) const
 {
-    const GateInfo &g = gates()[gid];
+    const GateInfo &g = image_.gates[gid];
     TraceStep step;
     step.kind = g.extended ? TraceStep::Kind::GateCallS
                            : TraceStep::Kind::GateCall;

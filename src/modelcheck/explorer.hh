@@ -90,7 +90,6 @@ class Explorer
     Explorer(const Explorer &) = delete; // the visited set points here
     Explorer &operator=(const Explorer &) = delete;
 
-    const std::vector<GateInfo> &gates() const { return image_.gates; }
 
     /** The abstraction words of @p node, valid until the next follow(). */
     const RegVal *abstraction(std::uint32_t node) const
@@ -231,8 +230,8 @@ class Explorer
 
         // Gate calls, from every domain granted the gate instruction
         // (the SGT, not the caller, names the destination).
-        for (GateId gid = 0; gid < gates().size(); ++gid) {
-            const GateInfo &g = gates()[gid];
+        for (GateId gid = 0; gid < image_.gates.size(); ++gid) {
+            const GateInfo &g = image_.gates[gid];
             if (!g.usable || (g.type != invalidInstType &&
                               !policy.inst(d, g.type).allowed()))
                 continue;

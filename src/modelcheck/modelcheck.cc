@@ -33,6 +33,14 @@ kindName(TraceStep::Kind kind)
     return "?";
 }
 
+/** A bit-maskable CSR and its Section 4.1 indices. */
+struct MaskableCsr
+{
+    std::uint32_t addr = 0;
+    CsrIndex bitmap_index = invalidCsrIndex;
+    CsrIndex mask_index = invalidCsrIndex;
+};
+
 } // namespace
 
 std::size_t
@@ -183,12 +191,11 @@ struct ModelChecker::Impl
     ArchState probe; //!< reset CSR file: which addresses exist
 
     /**
-     * The bit-maskable CSR at maskables[m] owns abstraction words 2m
-     * (`known`: bits still guaranteed to hold their boot value) and
-     * 2m + 1 (`dirty`: bits possibly flipped through bit-mask, not
-     * full-write, grants).
+     * Maskable CSR m owns abstraction words 2m (`known`: bits still
+     * guaranteed to hold their boot value) and 2m + 1 (`dirty`: bits
+     * possibly flipped through bit-mask, not full-write, grants).
      */
-    std::vector<std::uint32_t> maskables;
+    std::vector<MaskableCsr> maskables;
     std::map<Addr, GateId> gateAt; //!< registered gate addresses
 
     /**
@@ -222,14 +229,16 @@ struct ModelChecker::Impl
         isa.initState(probe);
 
         for (std::uint32_t addr : isa.controlledCsrAddrs()) {
-            if (isa.csrMaskIndex(addr) != invalidCsrIndex)
-                maskables.push_back(addr);
+            CsrIndex mi = isa.csrMaskIndex(addr);
+            if (mi == invalidCsrIndex)
+                continue;
+            maskables.push_back({addr, isa.csrBitmapIndex(addr), mi});
         }
-        for (std::uint32_t addr : maskables) {
+        for (const MaskableCsr &mc : maskables) {
             csrStubTypes.push_back(
-                stubTypes([addr](AsmIface &a, RegVal v) {
+                stubTypes([&mc](AsmIface &a, RegVal v) {
                     a.li(a.regArg(3), v);
-                    a.csrWrite(addr, a.regArg(3));
+                    a.csrWrite(mc.addr, a.regArg(3));
                 }));
         }
         storeStubTypes = stubTypes([](AsmIface &a, RegVal v) {
@@ -238,8 +247,8 @@ struct ModelChecker::Impl
             a.store64(a.regTmp(1), a.regTmp(0), 0);
         });
 
-        for (GateId id = 0; id < ex.gates().size(); ++id) {
-            const Verdict &call = ex.gates()[id].call;
+        for (GateId id = 0; id < image.gates.size(); ++id) {
+            const Verdict &call = image.gates[id].call;
             if (call.fault != FaultType::MemoryFault)
                 gateAt.emplace(call.entry.gate_addr, id);
         }
@@ -464,7 +473,7 @@ struct ModelChecker::Impl
     gateFault(std::uint32_t from, GateId gid)
     {
         const DomainId d = ex.domain(from);
-        const GateInfo &gate = ex.gates()[gid];
+        const GateInfo &gate = image.gates[gid];
         const SgtEntry &entry = gate.call.entry;
         TraceStep step = ex.gateStep(gid, d, d);
         step.expect = gate.call.fault;
@@ -495,7 +504,7 @@ struct ModelChecker::Impl
         std::vector<TraceStep> trace = ex.pathTo(from);
         trace.push_back(ex.gateStep(gid, d, dest));
         addFinding(sev, "mc-domain0-entry", d,
-                   ex.gates()[gid].call.entry.gate_addr,
+                   image.gates[gid].call.entry.gate_addr,
                    "gate " + std::to_string(gid) +
                        " hands domain-0 privileges to any "
                        "domain that executes it — legitimate "
@@ -511,7 +520,7 @@ struct ModelChecker::Impl
         if (d == 0)
             return;
         for (std::size_t m = 0; m < maskables.size(); ++m) {
-            const std::uint32_t csr = maskables[m];
+            const MaskableCsr &mc = maskables[m];
             if (!stubAllowed(d, csrStubTypes[m])) {
                 // The write instruction's own type (or the li feeding
                 // it) is revoked for this domain: the PCU
@@ -519,7 +528,8 @@ struct ModelChecker::Impl
                 // write of any kind can happen.
                 continue;
             }
-            const Verdict write = policy.csrWrite(d, csr);
+            const Verdict write =
+                policy.csrWrite(d, mc.bitmap_index, mc.mask_index);
             if (write.allowed()) {
                 // Authorized full write: the value is no longer the
                 // boot value, but no mask composition is involved.
@@ -527,7 +537,7 @@ struct ModelChecker::Impl
                 ex.follow(*this, id, [&] {
                     TraceStep step;
                     step.kind = TraceStep::Kind::CsrWrite;
-                    step.csr_addr = csr;
+                    step.csr_addr = mc.addr;
                     step.flip = 0;
                     step.domain_before = step.domain_after = d;
                     step.note = "full write privilege";
@@ -546,7 +556,7 @@ struct ModelChecker::Impl
             std::uint32_t succ_id = ex.follow(*this, id, [&] {
                 TraceStep step;
                 step.kind = TraceStep::Kind::CsrWrite;
-                step.csr_addr = csr;
+                step.csr_addr = mc.addr;
                 step.flip = mask;
                 step.masked = true;
                 step.domain_before = step.domain_after = d;
@@ -559,9 +569,9 @@ struct ModelChecker::Impl
                 // not cover — a combined change no single domain was
                 // granted.
                 addFinding(Severity::Violation, "mc-mask-composition", d,
-                           csr,
+                           mc.addr,
                            "masked writes compose across domains: CSR " +
-                               hexAddr(csr) + " accumulates flips " +
+                               hexAddr(mc.addr) + " accumulates flips " +
                                hexAddr(dirty) + " of which " +
                                hexAddr(escaped) +
                                " exceed the final writer's mask " +
@@ -734,24 +744,25 @@ struct ModelChecker::Impl
         }
         if (isa.isGridReg(csr)) {
             GridReg gr = isa.gridRegId(csr);
-            if (!is_write &&
-                (gr == GridReg::Domain || gr == GridReg::PDomain))
-                return; // readable from every domain
+            const FaultType fault = rules::gridReg(d, gr, is_write).fault;
+            if (fault == FaultType::None)
+                return;
             siteFinding(node, Severity::Violation, "mc-grid-reg", d, pc,
                         std::string(inst.mnemonic) +
                             (is_write ? " writes" : " reads") +
                             " ISA-Grid register " + gridRegName(gr) +
                             " outside domain-0",
-                        {instStep(pc, d, FaultType::CsrPrivilege, inst,
-                                  consts)});
+                        {instStep(pc, d, fault, inst, consts)});
             return;
         }
         if (!probe.csrs.exists(csr))
             return; // undefined CSR: faults natively, not ISA-Grid
         // A register-bitmap or bit-mask walk off the bus faults in
         // place of the check's verdict.
-        const Verdict v =
-            is_write ? policy.csrWrite(d, csr) : policy.csrRead(d, csr);
+        const CsrIndex index = isa.csrBitmapIndex(csr);
+        const Verdict v = is_write
+                              ? policy.csrWrite(d, index, isa.csrMaskIndex(csr))
+                              : policy.csrRead(d, index);
         if (v.allowed())
             return; // granted, or an uncontrolled CSR
         if (!v.masked) {

@@ -94,9 +94,9 @@ minimizePolicy(const IsaModel &isa, const PhysMem &mem,
         for (CsrIndex i = 0; i < csr_addrs.size(); ++i) {
             std::uint32_t addr = csr_addrs[i];
             CsrIndex mi = isa.csrMaskIndex(addr);
-            bool cfg_r = view.csrRead(d, addr).allowed();
-            bool cfg_w = view.csrWrite(d, addr).allowed();
-            RegVal cfg_mask = view.csrMask(d, addr).mask;
+            bool cfg_r = view.csrRead(d, i).allowed();
+            bool cfg_w = view.csrWrite(d, i, mi).allowed();
+            RegVal cfg_mask = view.csrMask(d, mi).mask;
 
             bool need_r =
                 need.csr_reads.count(i) || need.unresolved_dynamic_read;
@@ -210,15 +210,14 @@ minimizePolicy(const IsaModel &isa, const PhysMem &mem,
             if (pol.inst[t] && !view.inst(d, t).allowed())
                 res.subset = false;
         for (CsrIndex i = 0; i < csr_addrs.size(); ++i) {
-            const std::uint32_t addr = csr_addrs[i];
-            const bool cfg_w = view.csrWrite(d, addr).allowed();
-            if (pol.csr_read[i] && !view.csrRead(d, addr).allowed())
+            CsrIndex mi = isa.csrMaskIndex(csr_addrs[i]);
+            const bool cfg_w = view.csrWrite(d, i, mi).allowed();
+            if (pol.csr_read[i] && !view.csrRead(d, i).allowed())
                 res.subset = false;
             if (pol.csr_write[i] && !cfg_w)
                 res.subset = false;
-            CsrIndex mi = isa.csrMaskIndex(addr);
             if (mi != invalidCsrIndex && pol.masks[mi] && !cfg_w &&
-                (pol.masks[mi] & ~view.csrMask(d, addr).mask))
+                (pol.masks[mi] & ~view.csrMask(d, mi).mask))
                 res.subset = false;
         }
     }

@@ -452,10 +452,7 @@ struct Scanner
 
         if (inst_fault != FaultType::None) {
             emit(Severity::Violation, "ui-priv-escape", inst_fault,
-                 inst_fault == FaultType::MemoryFault
-                     ? "but its instruction bitmap lies outside physical "
-                       "memory"
-                     : "but denied by the domain's instruction bitmap");
+                 "but denied by the domain's instruction bitmap");
             return true;
         }
 
@@ -470,14 +467,16 @@ struct Scanner
             }
             if (isa.isGridReg(csr)) {
                 emit(Severity::Violation, "ui-priv-escape",
-                     FaultType::CsrPrivilege,
+                     rules::gridReg(d, isa.gridRegId(csr), true).fault,
                      "and writes ISA-Grid register state outside "
                      "domain-0");
                 return true;
             }
-            if (isa.csrBitmapIndex(csr) == invalidCsrIndex)
+            const CsrIndex index = isa.csrBitmapIndex(csr);
+            if (index == invalidCsrIndex)
                 return false; // uncontrolled CSR: nothing to escape
-            const Verdict v = policy.csrWrite(d, csr);
+            const Verdict v =
+                policy.csrWrite(d, index, isa.csrMaskIndex(csr));
             if (v.allowed()) {
                 emit(Severity::Warning, "ui-priv-escape", FaultType::None,
                      "and the domain's register bitmap permits the "
@@ -492,13 +491,7 @@ struct Scanner
             // An all-zero bit-mask rejects every change of the value.
             emit(Severity::Violation, "ui-priv-escape",
                  v.maskDecides() ? FaultType::CsrMaskViolation : v.fault,
-                 v.maskDecides()
-                     ? "but the domain's all-zero bit-mask rejects the "
-                       "write"
-                 : v.fault == FaultType::MemoryFault
-                     ? "but its privilege table lies outside physical "
-                       "memory"
-                     : "but denied by the domain's register bitmap");
+                 "but denied by the domain's register bitmap");
             return true;
         }
 

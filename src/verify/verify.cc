@@ -243,9 +243,11 @@ Verifier::checkStructure(VerifyReport &report) const
         for (std::uint8_t r = 0; r < numGridRegs; ++r) {
             std::uint32_t addr =
                 isa.gridRegAddr(static_cast<GridReg>(r));
-            if (isa.csrBitmapIndex(addr) == invalidCsrIndex)
+            CsrIndex index = isa.csrBitmapIndex(addr);
+            if (index == invalidCsrIndex)
                 continue;
-            if (policy.csrWrite(d, addr).allowed()) {
+            if (policy.csrWrite(d, index, isa.csrMaskIndex(addr))
+                    .allowed()) {
                 report.add(Severity::Violation, "grid-reg-writable", d,
                            addr,
                            std::string("domain holds write privilege "
@@ -308,28 +310,22 @@ Verifier::scanRegion(const CodeRegion &region, RegionScan &scan,
                                "not be resolved statically");
             } else if (isa.isGridReg(csr)) {
                 GridReg gr = isa.gridRegId(csr);
-                if (is_write) {
-                    report.add(Severity::Violation, "grid-reg-write", d,
-                               pc,
+                if (!rules::gridReg(d, gr, is_write).allowed()) {
+                    report.add(Severity::Violation,
+                               is_write ? "grid-reg-write"
+                                        : "grid-reg-read",
+                               d, pc,
                                std::string(inst.mnemonic) +
-                                   " writes ISA-Grid register " +
-                                   gridRegName(gr) +
-                                   " outside domain-0");
-                } else if (gr != GridReg::Domain &&
-                           gr != GridReg::PDomain) {
-                    report.add(Severity::Violation, "grid-reg-read", d,
-                               pc,
-                               std::string(inst.mnemonic) +
-                                   " reads ISA-Grid register " +
-                                   gridRegName(gr) +
-                                   " outside domain-0");
+                                   (is_write ? " writes" : " reads") +
+                                   " ISA-Grid register " +
+                                   gridRegName(gr) + " outside domain-0");
                 }
             } else {
                 CsrIndex index = isa.csrBitmapIndex(csr);
                 if (index != invalidCsrIndex) {
                     if (is_read) {
                         scan.usedReads.insert(index);
-                        if (!policy.csrRead(d, csr).allowed()) {
+                        if (!policy.csrRead(d, index).allowed()) {
                             report.add(Severity::Violation, "csr-read",
                                        d, pc,
                                        std::string(inst.mnemonic) +
@@ -338,20 +334,18 @@ Verifier::scanRegion(const CodeRegion &region, RegionScan &scan,
                         }
                     } else {
                         scan.usedWrites.insert(index);
-                        const Verdict v = policy.csrWrite(d, csr);
+                        const Verdict v = policy.csrWrite(
+                            d, index, isa.csrMaskIndex(csr));
                         if (!v.allowed() &&
                             !(v.maskDecides() && v.mask != 0)) {
                             report.add(
                                 Severity::Violation, "csr-write", d, pc,
                                 std::string(inst.mnemonic) +
                                     " writes CSR " + hex(csr) +
-                                    (v.fault == FaultType::MemoryFault
-                                         ? " through a table outside "
-                                           "physical memory"
-                                     : v.masked
-                                         ? " without the write bit and "
-                                           "with an all-zero bit-mask"
-                                         : " without the write bit"));
+                                    " without the write bit" +
+                                    (v.masked ? " and with an all-zero "
+                                                "bit-mask"
+                                              : ""));
                         }
                     }
                 }
@@ -471,7 +465,9 @@ Verifier::scanMisaligned(const CodeRegion &region, const RegionScan &scan,
                          policy.inst(d, inst.type).allowed();
         if (permitted && inst.cls == InstClass::CsrWrite &&
             inst.csr_addr != ~0u) {
-            const Verdict v = policy.csrWrite(d, inst.csr_addr);
+            const Verdict v =
+                policy.csrWrite(d, isa.csrBitmapIndex(inst.csr_addr),
+                                isa.csrMaskIndex(inst.csr_addr));
             permitted = v.allowed() || (v.maskDecides() && v.mask != 0);
         }
         if (permitted) {
@@ -648,9 +644,10 @@ Verifier::lintLeastPrivilege(const std::vector<RegionScan> &scans,
         std::string csrs;
         const auto &csr_addrs = isa.controlledCsrAddrs();
         for (CsrIndex i = 0; i < csr_addrs.size(); ++i) {
-            bool r = policy.csrRead(d, csr_addrs[i]).allowed() &&
+            bool r = policy.csrRead(d, i).allowed() &&
                      !m.usedReads.count(i);
-            bool w = policy.csrWrite(d, csr_addrs[i]).allowed() &&
+            bool w = policy.csrWrite(d, i, isa.csrMaskIndex(csr_addrs[i]))
+                         .allowed() &&
                      !m.usedWrites.count(i);
             if (r || w) {
                 append(csrs, "index " + std::to_string(i) + " (" +

@@ -872,8 +872,10 @@ checkPolicyViewAgainstPcu(const IsaModel &isa, std::uint64_t seed)
                     const RegVal old_value = values.next();
                     const RegVal new_value =
                         old_value ^ randomFlips(values);
-                    const Verdict r = view.csrRead(d, csr);
-                    const Verdict w = view.csrWrite(d, csr);
+                    const CsrIndex index = isa.csrBitmapIndex(csr);
+                    const Verdict r = view.csrRead(d, index);
+                    const Verdict w =
+                        view.csrWrite(d, index, isa.csrMaskIndex(csr));
                     ASSERT_EQ(pcu.checkCsrRead(csr).fault, r.fault)
                         << "trial " << trial << " domain " << d
                         << " csr " << csr;
@@ -954,7 +956,8 @@ TEST(PcuBus, PrivilegeSetReadsAWrappingTableAsDeny)
                        ~Addr{0} - 3 - d * env.pcu.layout().regStride());
     PolicyView view(env.isa, env.mem, PolicySnapshot::fromPcu(env.pcu));
     EXPECT_EQ(view.inst(d, IT_ADD).fault, FaultType::MemoryFault);
-    EXPECT_EQ(view.csrRead(d, CSR_SEPC).fault, FaultType::MemoryFault);
+    EXPECT_EQ(view.csrRead(d, env.isa.csrBitmapIndex(CSR_SEPC)).fault,
+              FaultType::MemoryFault);
     std::vector<std::uint32_t> high = PrivilegeSet::highCsrs(view, d);
     EXPECT_NE(std::find(high.begin(), high.end(), CSR_SSTATUS), high.end());
     for (std::uint32_t csr : env.isa.controlledCsrAddrs()) {
