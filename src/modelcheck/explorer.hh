@@ -90,7 +90,6 @@ class Explorer
     Explorer(const Explorer &) = delete; // the visited set points here
     Explorer &operator=(const Explorer &) = delete;
 
-
     /** The abstraction words of @p node, valid until the next follow(). */
     const RegVal *abstraction(std::uint32_t node) const
     {
