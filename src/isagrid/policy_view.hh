@@ -66,6 +66,7 @@ class PolicyView
     PolicyView(const IsaModel &isa, const PhysMem &mem,
                const PolicySnapshot &snap);
 
+    const IsaModel &isa() const { return isa_; }
     DomainId numDomains() const { return snap.reg(GridReg::DomainNr); }
     GateId numGates() const { return snap.reg(GridReg::GateNr); }
 
@@ -114,7 +115,6 @@ class PolicyView
 
     RegVal reg(GridReg r) const { return snap.reg(r); }
     const HptLayout &layout() const { return hpt; }
-    const IsaModel &isa() const { return isa_; }
     bool word(HptKind, DomainId, std::uint32_t, Addr addr,
               std::uint64_t &out) const;
     /** Off the bus, the words that lie in memory and zero for the rest. */

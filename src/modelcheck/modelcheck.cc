@@ -760,9 +760,9 @@ struct ModelChecker::Impl
         // A register-bitmap or bit-mask walk off the bus faults in
         // place of the check's verdict.
         const CsrIndex index = isa.csrBitmapIndex(csr);
-        const Verdict v = is_write
-                              ? policy.csrWrite(d, index, isa.csrMaskIndex(csr))
-                              : policy.csrRead(d, index);
+        const Verdict v =
+            is_write ? policy.csrWrite(d, index, isa.csrMaskIndex(csr))
+                     : policy.csrRead(d, index);
         if (v.allowed())
             return; // granted, or an uncontrolled CSR
         if (!v.masked) {
