@@ -188,7 +188,7 @@ struct RelChecker
                     step.csr_addr = c.addr;
                     step.flip = mask;
                     step.masked = true;
-                    step.expect = FaultType::CsrMaskViolation;
+                    step.expect = write.write(0, diff & ~mask);
                     step.domain_before = step.domain_after = d;
                     step.note = "masked write; diff " + hexAddr(diff) +
                                 " escapes mask " + hexAddr(mask);

@@ -784,16 +784,14 @@ struct ModelChecker::Impl
                         std::string(inst.mnemonic) + " writes bit-maskable "
                             "CSR " + hexAddr(csr) + " through a bit-mask "
                             "outside physical memory",
-                        {instStep(pc, d, FaultType::MemoryFault, inst,
-                                  consts)});
+                        {instStep(pc, d, v.fault, inst, consts)});
         } else if (v.mask == 0) {
             siteFinding(node, Severity::Violation, "mc-csr-mask", d, pc,
                         std::string(inst.mnemonic) + " writes bit-maskable "
                             "CSR " + hexAddr(csr) + " with an all-zero "
                             "mask: any change to the value is rejected",
-                        {instStep(pc, d, FaultType::CsrMaskViolation,
-                                  inst, consts,
-                                  "bit-mask equation rejects")});
+                        {instStep(pc, d, v.write(0, ~RegVal{0}), inst,
+                                  consts, "bit-mask equation rejects")});
         }
         // mask != 0: legality depends on the live CSR value — the
         // masked-write transitions model the permitted outcomes.

@@ -488,9 +488,10 @@ struct Scanner
                 // value, which no deterministic probe pins down.
                 return false;
             }
-            // An all-zero bit-mask rejects every change of the value.
+            // Denied, or an all-zero bit-mask rejects every change of
+            // the value: the fault of a write that flips every bit.
             emit(Severity::Violation, "ui-priv-escape",
-                 v.maskDecides() ? FaultType::CsrMaskViolation : v.fault,
+                 v.write(0, ~RegVal{0}),
                  "but denied by the domain's register bitmap");
             return true;
         }
