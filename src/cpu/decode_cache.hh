@@ -21,6 +21,10 @@
  *    lines — guest stores, loader writeBlock, trusted-memory updates
  *    — bumps a generation and the stale entry re-decodes.
  *
+ * The slots are ZeroPages (mem/zero_pages.hh): a fresh cache costs no
+ * clearing, and an all-zero slot is empty because an entry is tagged
+ * with ~pc (pc 0 is a valid PC; ~0 is never a cached one).
+ *
  * The cache changes *host* time only. Architectural results, cycle
  * counts and every modeled stat (PCU, caches, TLBs) are unaffected:
  * the core still performs the fetch-side trusted-memory check and the
@@ -35,10 +39,10 @@
 #define ISAGRID_CPU_DECODE_CACHE_HH_
 
 #include <cstdint>
-#include <vector>
 
 #include "isa/inst.hh"
 #include "mem/phys_mem.hh"
+#include "mem/zero_pages.hh"
 #include "sim/types.hh"
 
 namespace isagrid {
@@ -50,7 +54,7 @@ class DecodeCache
     /** One cached decode plus the per-PC facts derived from it. */
     struct Entry
     {
-        Addr pc = kNoPc;         //!< tag; kNoPc marks an empty slot
+        Addr tag = 0;            //!< ~pc; 0 marks an empty slot
         std::uint64_t gen0 = 0;  //!< fill-time generation, first line
         std::uint64_t gen1 = 0;  //!< fill-time generation, last line
         DecodedInst inst;
@@ -71,7 +75,7 @@ class DecodeCache
             n <<= 1;
             ++log2n;
         }
-        slots.resize(n);
+        slots = ZeroPages<Entry>(n);
         shift = 64 - log2n;
     }
 
@@ -84,7 +88,7 @@ class DecodeCache
     lookup(Addr pc)
     {
         Entry &e = slots[slotOf(pc)];
-        if (e.pc != pc) {
+        if (e.tag != ~pc) {
             ++missCount;
             return nullptr;
         }
@@ -92,7 +96,7 @@ class DecodeCache
         // in range by construction (insert() only caches valid PCs).
         Addr last = pc + e.inst.length - 1;
         if (mem_.lineGen(pc) != e.gen0 || mem_.lineGen(last) != e.gen1) {
-            e.pc = kNoPc;
+            e.tag = 0;
             ++invalidationCount;
             ++missCount;
             return nullptr;
@@ -111,7 +115,7 @@ class DecodeCache
            bool check_cacheable)
     {
         Entry &e = slots[slotOf(pc)];
-        e.pc = pc;
+        e.tag = ~pc;
         e.inst = inst;
         e.privileged = privileged;
         e.check_cacheable = check_cacheable;
@@ -120,12 +124,14 @@ class DecodeCache
         return &e;
     }
 
-    /** Drop every entry (reset; never needed for correctness). */
-    void
-    flushAll()
+    /**
+     * Fibonacci hash: spreads PCs of any alignment (4-byte RISC-V,
+     * byte-granular x86) evenly over the direct-mapped array.
+     */
+    std::size_t
+    slotOf(Addr pc) const
     {
-        for (auto &e : slots)
-            e.pc = kNoPc;
+        return (pc * 0x9E3779B97F4A7C15ull) >> shift;
     }
 
     std::uint32_t numEntries() const
@@ -139,20 +145,8 @@ class DecodeCache
     std::uint64_t invalidations() const { return invalidationCount; }
 
   private:
-    static constexpr Addr kNoPc = ~Addr{0};
-
-    /**
-     * Fibonacci hash: spreads PCs of any alignment (4-byte RISC-V,
-     * byte-granular x86) evenly over the direct-mapped array.
-     */
-    std::size_t
-    slotOf(Addr pc) const
-    {
-        return (pc * 0x9E3779B97F4A7C15ull) >> shift;
-    }
-
     const PhysMem &mem_;
-    std::vector<Entry> slots;
+    ZeroPages<Entry> slots;
     unsigned shift = 64;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;

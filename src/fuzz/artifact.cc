@@ -358,8 +358,14 @@ captureArtifact(Machine &machine, bool x86, std::string name,
         open = false;
     };
     for (Addr addr = 0; addr < mem.size(); addr += line) {
-        // Untouched lines still hold their calloc zeros; the write
-        // generation makes skipping them free.
+        // A never-written page still reads as zeros: skip it whole,
+        // without touching its bytes or its line generations.
+        if (addr % PhysMem::kPageBytes == 0 && !mem.pageWritten(addr)) {
+            flush();
+            addr += PhysMem::kPageBytes - line;
+            continue;
+        }
+        // Likewise an unwritten line within a written page.
         bool live = mem.lineGen(addr) != 0;
         if (live) {
             mem.readBlock(addr, buf.data(), line);

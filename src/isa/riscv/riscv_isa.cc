@@ -89,14 +89,34 @@ make(InstTypeId type, InstClass cls)
 
 RiscvIsa::RiscvIsa() = default;
 
+namespace {
+
+/** The controlled CSRs, in register-bitmap order. */
+constexpr std::array<std::uint32_t, 13> kControlledCsrs = {
+    CSR_SSTATUS, CSR_SIE, CSR_STVEC, CSR_SCOUNTEREN, CSR_SSCRATCH,
+    CSR_SEPC, CSR_SCAUSE, CSR_STVAL, CSR_SIP, CSR_SATP,
+    CSR_CYCLE, CSR_TIME, CSR_INSTRET,
+};
+
+/**
+ * Register-bitmap index by 12-bit CSR address: one constant table for
+ * the process, so the PCU's CSR checks index instead of scanning.
+ */
+constexpr std::array<CsrIndex, 4096> kCsrBitmapIndex = [] {
+    std::array<CsrIndex, 4096> table{};
+    table.fill(invalidCsrIndex);
+    for (CsrIndex i = 0; i < kControlledCsrs.size(); ++i)
+        table[kControlledCsrs[i]] = i;
+    return table;
+}();
+
+} // namespace
+
 const std::vector<std::uint32_t> &
 RiscvIsa::controlledCsrs()
 {
-    static const std::vector<std::uint32_t> csrs = {
-        CSR_SSTATUS, CSR_SIE, CSR_STVEC, CSR_SCOUNTEREN, CSR_SSCRATCH,
-        CSR_SEPC, CSR_SCAUSE, CSR_STVAL, CSR_SIP, CSR_SATP,
-        CSR_CYCLE, CSR_TIME, CSR_INSTRET,
-    };
+    static const std::vector<std::uint32_t> csrs(kControlledCsrs.begin(),
+                                                 kControlledCsrs.end());
     return csrs;
 }
 
@@ -109,11 +129,8 @@ RiscvIsa::numControlledCsrs() const
 CsrIndex
 RiscvIsa::csrBitmapIndex(std::uint32_t csr_addr) const
 {
-    const auto &csrs = controlledCsrs();
-    for (CsrIndex i = 0; i < csrs.size(); ++i)
-        if (csrs[i] == csr_addr)
-            return i;
-    return invalidCsrIndex;
+    return csr_addr < kCsrBitmapIndex.size() ? kCsrBitmapIndex[csr_addr]
+                                             : invalidCsrIndex;
 }
 
 CsrIndex

@@ -35,7 +35,7 @@ Cache::Cache(const CacheParams &params)
     tagShift = lineShift;
     while ((std::uint64_t{1} << (tagShift - lineShift)) < numSets)
         ++tagShift;
-    lines.resize(num_lines);
+    lines = ZeroPages<Line>(num_lines);
 
     statGroup.addCounter("hits", hitCount, "demand hits");
     statGroup.addCounter("misses", missCount, "demand misses");
@@ -63,8 +63,12 @@ Cache::contains(Addr addr) const
 void
 Cache::flushAll()
 {
+    // Writes only valid lines, so a flush leaves never-filled pages of
+    // a large level unallocated.
     for (auto &line : lines) {
-        if (line.valid && line.dirty)
+        if (!line.valid)
+            continue;
+        if (line.dirty)
             ++writebackCount;
         line.valid = false;
         line.dirty = false;

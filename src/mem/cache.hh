@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/zero_pages.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -109,6 +110,7 @@ class Cache
     std::uint64_t misses() const { return missCount.value(); }
 
   private:
+    /** All zero bytes is an invalid line (a ZeroPages slot). */
     struct Line
     {
         bool valid = false;
@@ -132,7 +134,7 @@ class Cache
     std::uint32_t numSets;
     unsigned lineShift = 0; //!< log2(line_bytes)
     unsigned tagShift = 0;  //!< log2(line_bytes * numSets)
-    std::vector<Line> lines; // numSets * assoc
+    ZeroPages<Line> lines; // numSets * assoc; untouched until filled
     std::uint64_t lruClock = 0;
 
     Counter hitCount;

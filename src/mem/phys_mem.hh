@@ -10,16 +10,23 @@
  * generations of the lines backing a cached datum and revalidate them
  * on lookup, which makes invalidation on self-modifying code *exact*:
  * any store into a cached line, from any writer, is observed.
+ *
+ * The memory also keeps one *written* bit per 4 KB page, set by the
+ * same writers: a page whose bit is clear has never been stored to
+ * and still reads as zeros, so a whole-memory scan (the fuzzer's
+ * artifact capture) skips it without touching its bytes or its line
+ * generations. Both arrays are ZeroPages, so a machine that never
+ * touches most of its memory never pages it in.
  */
 
 #ifndef ISAGRID_MEM_PHYS_MEM_HH_
 #define ISAGRID_MEM_PHYS_MEM_HH_
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <vector>
 
+#include "mem/zero_pages.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -37,19 +44,16 @@ class PhysMem
     static constexpr unsigned kLineShift = 6;
     static constexpr std::size_t kLineBytes = 1u << kLineShift;
 
+    /** Written-summary granularity (4 KB pages). */
+    static constexpr unsigned kPageShift = 12;
+    static constexpr std::size_t kPageBytes = 1u << kPageShift;
+
     explicit PhysMem(std::size_t size_bytes)
-        : sizeBytes(size_bytes),
-          bytes(static_cast<std::uint8_t *>(
-              std::calloc(size_bytes ? size_bytes : 1, 1))),
-          lineGens(static_cast<std::uint64_t *>(std::calloc(
-              ((size_bytes + kLineBytes - 1) >> kLineShift) + 1,
-              sizeof(std::uint64_t))))
+        : sizeBytes(size_bytes), bytes(size_bytes),
+          lineGens((size_bytes + kLineBytes - 1) >> kLineShift),
+          writtenPages((((size_bytes + kPageBytes - 1) >> kPageShift) +
+                        63) / 64)
     {
-        // calloc instead of a zero-filled vector: the host kernel hands
-        // out zero pages lazily, so constructing a machine does not
-        // touch (and page in) tens of megabytes it may never use.
-        if (!bytes || !lineGens)
-            fatal("phys mem: cannot allocate %zu bytes", size_bytes);
     }
 
     std::size_t size() const { return sizeBytes; }
@@ -66,7 +70,7 @@ class PhysMem
     {
         check(addr, 1);
         bytes[addr] = value;
-        ++lineGens[addr >> kLineShift];
+        bumpLine(addr >> kLineShift);
     }
 
     std::uint16_t
@@ -96,7 +100,7 @@ class PhysMem
     writeBlock(Addr addr, const std::uint8_t *data, std::size_t len)
     {
         check(addr, len);
-        std::memcpy(bytes.get() + addr, data, len);
+        std::memcpy(bytes.data() + addr, data, len);
         if (len > 0)
             bumpGens(addr, len);
     }
@@ -106,7 +110,7 @@ class PhysMem
     readBlock(Addr addr, std::uint8_t *data, std::size_t len) const
     {
         check(addr, len);
-        std::memcpy(data, bytes.get() + addr, len);
+        std::memcpy(data, bytes.data() + addr, len);
     }
 
     /**
@@ -120,6 +124,17 @@ class PhysMem
         return lineGens[addr >> kLineShift];
     }
 
+    /**
+     * Whether any byte of the 4 KB page containing @p addr has ever
+     * been written; false means the page still reads as zeros.
+     */
+    bool
+    pageWritten(Addr addr) const
+    {
+        std::size_t page = addr >> kPageShift;
+        return (writtenPages[page / 64] >> (page % 64)) & 1;
+    }
+
   private:
     template <typename T>
     T
@@ -127,7 +142,7 @@ class PhysMem
     {
         check(addr, sizeof(T));
         T v;
-        std::memcpy(&v, bytes.get() + addr, sizeof(T));
+        std::memcpy(&v, bytes.data() + addr, sizeof(T));
         return v;
     }
 
@@ -136,7 +151,7 @@ class PhysMem
     writeLe(Addr addr, T v)
     {
         check(addr, sizeof(T));
-        std::memcpy(bytes.get() + addr, &v, sizeof(T));
+        std::memcpy(bytes.data() + addr, &v, sizeof(T));
         bumpGens(addr, sizeof(T));
     }
 
@@ -146,7 +161,15 @@ class PhysMem
         std::size_t first = addr >> kLineShift;
         std::size_t last = (addr + len - 1) >> kLineShift;
         for (std::size_t line = first; line <= last; ++line)
-            ++lineGens[line];
+            bumpLine(line);
+    }
+
+    void
+    bumpLine(std::size_t line)
+    {
+        ++lineGens[line];
+        std::size_t page = line >> (kPageShift - kLineShift);
+        writtenPages[page / 64] |= std::uint64_t{1} << (page % 64);
     }
 
     void
@@ -158,15 +181,12 @@ class PhysMem
         }
     }
 
-    struct FreeDeleter
-    {
-        void operator()(void *p) const { std::free(p); }
-    };
-
     std::size_t sizeBytes;
-    std::unique_ptr<std::uint8_t[], FreeDeleter> bytes;
+    ZeroPages<std::uint8_t> bytes;
     /** Per-line write generations (see file comment). */
-    std::unique_ptr<std::uint64_t[], FreeDeleter> lineGens;
+    ZeroPages<std::uint64_t> lineGens;
+    /** One written bit per 4 KB page (see file comment). */
+    std::vector<std::uint64_t> writtenPages;
 };
 
 } // namespace isagrid

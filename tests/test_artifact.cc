@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "fuzz/artifact.hh"
 #include "fuzz/fuzz.hh"
 
@@ -24,6 +29,52 @@ firstSeed(bool x86)
     std::vector<FuzzArtifact> seeds = builtinSeeds(x86);
     EXPECT_FALSE(seeds.empty());
     return seeds.front();
+}
+
+FuzzArtifact
+recapture(Machine &machine, const FuzzArtifact &like)
+{
+    return captureArtifact(machine, like.x86, like.name, like.start_pc,
+                           like.start_domain, like.entries, like.regions);
+}
+
+/**
+ * The chunks captureArtifact must produce, found by brute force: read
+ * every line of memory, join runs of lines holding a non-zero byte,
+ * trim zero bytes off both ends of each run.
+ */
+std::vector<MemChunk>
+scanChunks(const PhysMem &mem)
+{
+    std::vector<MemChunk> chunks;
+    std::vector<std::uint8_t> line(PhysMem::kLineBytes);
+    MemChunk run;
+    auto close = [&]() {
+        auto lo = std::find_if(run.bytes.begin(), run.bytes.end(),
+                               [](std::uint8_t b) { return b != 0; });
+        auto hi = std::find_if(run.bytes.rbegin(), run.bytes.rend(),
+                               [](std::uint8_t b) { return b != 0; });
+        if (lo != run.bytes.end()) {
+            MemChunk trimmed;
+            trimmed.base = run.base + (lo - run.bytes.begin());
+            trimmed.bytes.assign(lo, hi.base());
+            chunks.push_back(std::move(trimmed));
+        }
+        run = MemChunk{};
+    };
+    for (Addr addr = 0; addr < mem.size(); addr += line.size()) {
+        mem.readBlock(addr, line.data(), line.size());
+        if (std::all_of(line.begin(), line.end(),
+                        [](std::uint8_t b) { return b == 0; })) {
+            close();
+            continue;
+        }
+        if (run.bytes.empty())
+            run.base = addr;
+        run.bytes.insert(run.bytes.end(), line.begin(), line.end());
+    }
+    close();
+    return chunks;
 }
 
 } // namespace
@@ -64,10 +115,59 @@ TEST_P(ArtifactBothIsas, CaptureRestoreIsIdentity)
 {
     FuzzArtifact seed = firstSeed(GetParam());
     std::unique_ptr<Machine> machine = seed.restore();
-    FuzzArtifact again =
-        captureArtifact(*machine, seed.x86, seed.name, seed.start_pc,
-                        seed.start_domain, seed.entries, seed.regions);
-    EXPECT_EQ(again.serialize(), seed.serialize());
+    EXPECT_EQ(recapture(*machine, seed).serialize(), seed.serialize());
+}
+
+TEST_P(ArtifactBothIsas, CaptureMatchesAByteScan)
+{
+    FuzzArtifact seed = firstSeed(GetParam());
+    std::unique_ptr<Machine> machine = seed.restore();
+    PhysMem &mem = machine->mem();
+    const Addr page = PhysMem::kPageBytes;
+
+    mem.write64(0x40 * page - 4, 0x1122334455667788ull); // two pages
+    mem.write8(0x50 * page - 1, 0x5a);  // last byte of a page
+    mem.write8(0x60 * page, 0xa5);      // first byte of the next one
+    std::vector<std::uint8_t> block(page + 200, 0x33);
+    mem.writeBlock(0x80 * page - 100, block.data(), block.size());
+    mem.write32(0x90 * page + 16, 0);   // written, then trimmed
+    mem.write8(mem.size() - 1, 0x77);   // the last byte of memory
+
+    FuzzArtifact got = recapture(*machine, seed);
+    EXPECT_EQ(got.chunks, scanChunks(mem));
+    EXPECT_TRUE(mem.pageWritten(0x90 * page));
+    EXPECT_EQ(got.read8(0x50 * page - 1), 0x5a);
+    EXPECT_EQ(got.read8(mem.size() - 1), 0x77);
+    EXPECT_EQ(got.read8(0x81 * page + 99), 0x33);
+}
+
+// A mutated artifact need not be in captured form (a chunk may hold
+// zero lines), so the corpus is checked twice: each file re-serializes
+// to its own bytes, and capturing its restored machine finds exactly
+// the chunks a byte scan finds.
+TEST(Artifact, CommittedCorpusReserializesAndRecaptures)
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto &e : std::filesystem::directory_iterator(
+             std::string(TEST_DATA_DIR) + "/fuzz_corpus")) {
+        if (e.path().extension() == ".art")
+            files.push_back(e.path());
+    }
+    ASSERT_FALSE(files.empty());
+    for (const auto &path : files) {
+        std::ifstream in(path);
+        std::stringstream buf;
+        buf << in.rdbuf();
+        FuzzArtifact artifact;
+        std::string error;
+        ASSERT_TRUE(FuzzArtifact::parse(buf.str(), artifact, error))
+            << path << ": " << error;
+        EXPECT_EQ(artifact.serialize(), buf.str()) << path;
+        std::unique_ptr<Machine> machine = artifact.restore();
+        EXPECT_EQ(recapture(*machine, artifact).chunks,
+                  scanChunks(machine->mem()))
+            << path;
+    }
 }
 
 TEST_P(ArtifactBothIsas, RestoredMachinesRunIdentically)

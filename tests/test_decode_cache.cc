@@ -15,8 +15,10 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "attacks/attacks.hh"
+#include "cpu/decode_cache.hh"
 #include "cpu/machine.hh"
 #include "isa/riscv/assembler.hh"
 #include "isa/x86/assembler.hh"
@@ -154,6 +156,45 @@ expectIdentical(const std::pair<RunResult, std::string> &on,
 }
 
 } // namespace
+
+// The slots start as zero pages, so an all-zero slot must read as
+// empty: the tag is ~pc, which keeps pc 0 (a valid PC) distinct.
+TEST(DecodeCacheSlots, FreshCacheMissesInEverySlot)
+{
+    PhysMem mem(64 * 1024);
+    DecodeCache cache(mem, MachineConfig{}.decode_cache_entries);
+    EXPECT_EQ(cache.lookup(0), nullptr);
+
+    std::vector<bool> probed(cache.numEntries());
+    std::size_t left = probed.size();
+    for (Addr pc = 0; left > 0 && pc < 64 * probed.size(); ++pc) {
+        ASSERT_EQ(cache.lookup(pc), nullptr) << "pc " << pc;
+        std::size_t slot = cache.slotOf(pc);
+        if (!probed[slot]) {
+            probed[slot] = true;
+            --left;
+        }
+    }
+    EXPECT_EQ(left, 0u) << "some slot was never probed";
+    EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(DecodeCacheSlots, PcZeroHitsOnceInserted)
+{
+    PhysMem mem(64 * 1024);
+    DecodeCache cache(mem, 16);
+    DecodedInst inst;
+    inst.valid = true;
+    inst.length = 4;
+    cache.insert(0, inst, false, true);
+    const DecodeCache::Entry *hit = cache.lookup(0);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->inst.length, 4u);
+    EXPECT_TRUE(hit->check_cacheable);
+    mem.write8(3, 0);
+    EXPECT_EQ(cache.lookup(0), nullptr) << "the store must invalidate";
+    EXPECT_EQ(cache.invalidations(), 1u);
+}
 
 TEST(DecodeCacheSmc, RiscvStoreIntoExecutedCodeIsObserved)
 {

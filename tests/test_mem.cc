@@ -1,11 +1,18 @@
 /**
  * @file
- * Unit and property tests for the memory system: physical memory,
- * set-associative caches, hierarchies and the trusted-memory range.
+ * Unit and property tests for the memory system: lazily zeroed
+ * arrays, physical memory, set-associative caches, hierarchies and the
+ * trusted-memory range.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -14,9 +21,140 @@
 #include "mem/phys_mem.hh"
 #include "mem/tlb.hh"
 #include "mem/trusted_memory.hh"
+#include "mem/zero_pages.hh"
 #include "sim/random.hh"
 
 using namespace isagrid;
+
+namespace {
+
+const std::size_t kHostPage = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+
+/**
+ * mincore() over the pages of [p, p + len): one flag per page, true
+ * when resident; errno is left set when the range is not mapped.
+ */
+std::vector<bool>
+residentPages(const void *p, std::size_t len, int &rc)
+{
+    auto lo = reinterpret_cast<std::uintptr_t>(p) & ~(kHostPage - 1);
+    auto hi = (reinterpret_cast<std::uintptr_t>(p) + len + kHostPage - 1) &
+              ~(kHostPage - 1);
+    std::vector<unsigned char> vec((hi - lo) / kHostPage);
+    rc = mincore(reinterpret_cast<void *>(lo), hi - lo, vec.data());
+    std::vector<bool> resident(vec.size());
+    for (std::size_t i = 0; i < vec.size(); ++i)
+        resident[i] = vec[i] & 1;
+    return resident;
+}
+
+} // namespace
+
+TEST(ZeroPages, FreshArrayReadsZero)
+{
+    constexpr std::size_t kBytes = 64ull << 20;
+    ZeroPages<std::uint8_t> a(kBytes);
+    ASSERT_EQ(a.size(), kBytes);
+    SplitMix64 rng(1);
+    for (int i = 0; i < 4096; ++i)
+        ASSERT_EQ(a[rng.below(kBytes)], 0);
+    EXPECT_EQ(a[0], 0);
+    EXPECT_EQ(a[kBytes - 1], 0);
+}
+
+TEST(ZeroPages, OnlyWrittenPagesBecomeResident)
+{
+    constexpr std::size_t kBytes = 64ull << 20;
+    ZeroPages<std::uint8_t> a(kBytes);
+    int rc = 0;
+    std::vector<bool> before = residentPages(a.data(), kBytes, rc);
+    ASSERT_EQ(rc, 0);
+    EXPECT_EQ(std::count(before.begin(), before.end(), true), 0);
+
+    const std::size_t offset = 1000 * kHostPage + 123;
+    a[offset] = 7;
+    std::vector<bool> after = residentPages(a.data(), kBytes, rc);
+    ASSERT_EQ(rc, 0);
+    EXPECT_EQ(std::count(after.begin(), after.end(), true), 1);
+    EXPECT_TRUE(after[offset / kHostPage]);
+}
+
+TEST(ZeroPages, MoveLeavesOneOwnerWhichUnmaps)
+{
+    ZeroPages<std::uint64_t> a(1024);
+    a[3] = 42;
+    std::uint64_t *mapped = a.data();
+
+    ZeroPages<std::uint64_t> b(std::move(a));
+    EXPECT_EQ(a.data(), nullptr);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(b.data(), mapped);
+    EXPECT_EQ(b.size(), 1024u);
+    EXPECT_EQ(b[3], 42u);
+
+    // Assignment unmaps what the target held before.
+    ZeroPages<std::uint64_t> c(16);
+    std::uint64_t *replaced = c.data();
+    c = std::move(b);
+    int rc = 0;
+    residentPages(replaced, 16 * sizeof(std::uint64_t), rc);
+    EXPECT_EQ(rc, -1);
+    EXPECT_EQ(errno, ENOMEM);
+    EXPECT_EQ(b.data(), nullptr);
+    EXPECT_EQ(c.data(), mapped);
+    EXPECT_EQ(c[3], 42u);
+
+    { ZeroPages<std::uint64_t> last(std::move(c)); }
+    residentPages(mapped, 1024 * sizeof(std::uint64_t), rc);
+    EXPECT_EQ(rc, -1);
+    EXPECT_EQ(errno, ENOMEM);
+}
+
+TEST(ZeroPages, FailedMappingIsFatalWithTheRequestedSize)
+{
+    EXPECT_EXIT(ZeroPages<std::uint8_t>(std::size_t{1} << 62),
+                ::testing::ExitedWithCode(1),
+                "cannot map 4611686018427387904 x 1 bytes");
+    // count * sizeof(T) overflows size_t.
+    EXPECT_EXIT(ZeroPages<std::uint64_t>(std::size_t{1} << 62),
+                ::testing::ExitedWithCode(1),
+                "cannot map 4611686018427387904 x 8 bytes");
+}
+
+TEST(ZeroPages, ReadingOnePastTheEndFaults)
+{
+    // 1000 elements fill no whole number of pages: the array still ends
+    // at the guard page.
+    ZeroPages<std::uint32_t> a(1000);
+    const volatile std::uint32_t *p = a.data();
+    EXPECT_EQ(p[999], 0u);
+    EXPECT_DEATH((void)p[1000], "");
+}
+
+TEST(PhysMem, WrittenPagesFollowEveryWriter)
+{
+    const Addr page = PhysMem::kPageBytes;
+    PhysMem mem(16 * page);
+    for (Addr a = 0; a < mem.size(); a += page)
+        EXPECT_FALSE(mem.pageWritten(a));
+
+    mem.write16(2 * page - 1, 0xffff); // straddles pages 1 and 2
+    mem.write8(4 * page, 0);           // a zero still counts
+    std::vector<std::uint8_t> block(2 * page + 2, 1);
+    mem.writeBlock(7 * page - 1, block.data(), block.size()); // 6..9
+    mem.write64(mem.size() - 8, 1);
+
+    std::vector<Addr> written;
+    for (Addr a = 0; a < mem.size(); a += page)
+        if (mem.pageWritten(a))
+            written.push_back(a / page);
+    EXPECT_EQ(written, (std::vector<Addr>{1, 2, 4, 6, 7, 8, 9, 15}));
+    // Reads and empty block writes mark nothing.
+    mem.read64(11 * page);
+    mem.writeBlock(12 * page, block.data(), 0);
+    EXPECT_FALSE(mem.pageWritten(11 * page));
+    EXPECT_FALSE(mem.pageWritten(12 * page));
+}
 
 TEST(PhysMem, ReadWriteWidths)
 {

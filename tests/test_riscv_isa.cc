@@ -208,6 +208,19 @@ TEST(RiscvDecode, CsrAddressCarried)
     EXPECT_FALSE(inst.csr_dynamic);
 }
 
+TEST(RiscvCsrs, BitmapIndexMatchesALinearScan)
+{
+    const auto &csrs = RiscvIsa::controlledCsrs();
+    for (std::uint32_t addr = 0; addr < 4096 + 16; ++addr) {
+        CsrIndex want = invalidCsrIndex;
+        for (CsrIndex i = 0; i < csrs.size(); ++i)
+            if (csrs[i] == addr)
+                want = i;
+        EXPECT_EQ(isa.csrBitmapIndex(addr), want) << std::hex << addr;
+    }
+    EXPECT_EQ(isa.csrBitmapIndex(~0u), invalidCsrIndex);
+}
+
 TEST(RiscvDecode, CsrrsWithX0IsPureRead)
 {
     auto inst = roundTrip([](RiscvAsm &a) { a.csrr(3, CSR_SEPC); });
