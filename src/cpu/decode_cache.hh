@@ -23,7 +23,8 @@
  *
  * The slots are ZeroPages (mem/zero_pages.hh): a fresh cache costs no
  * clearing, and an all-zero slot is empty because an entry is tagged
- * with ~pc (pc 0 is a valid PC; ~0 is never a cached one).
+ * with ~pc (pc 0 is a valid PC; ~0 is never a cached one). insert()
+ * marks its slot written, so the destructor can recycle the array.
  *
  * The cache changes *host* time only. Architectural results, cycle
  * counts and every modeled stat (PCU, caches, TLBs) are unaffected:
@@ -75,9 +76,15 @@ class DecodeCache
             n <<= 1;
             ++log2n;
         }
-        slots = ZeroPages<Entry>(n);
+        slots = ZeroPages<Entry>::reuse(n);
         shift = 64 - log2n;
     }
+
+    /** Hands the slots back for the next machine (zero_pages.hh). */
+    ~DecodeCache() { slots.recycle(); }
+
+    DecodeCache(const DecodeCache &) = delete;
+    DecodeCache &operator=(const DecodeCache &) = delete;
 
     /**
      * Probe for @p pc. Returns the entry on a fresh hit, nullptr on a
@@ -114,7 +121,9 @@ class DecodeCache
     insert(Addr pc, const DecodedInst &inst, bool privileged,
            bool check_cacheable)
     {
-        Entry &e = slots[slotOf(pc)];
+        std::size_t slot = slotOf(pc);
+        slots.markWritten(slot);
+        Entry &e = slots[slot];
         e.tag = ~pc;
         e.inst = inst;
         e.privileged = privileged;

@@ -35,7 +35,7 @@ Cache::Cache(const CacheParams &params)
     tagShift = lineShift;
     while ((std::uint64_t{1} << (tagShift - lineShift)) < numSets)
         ++tagShift;
-    lines = ZeroPages<Line>(num_lines);
+    lines = ZeroPages<Line>::reuse(num_lines);
 
     statGroup.addCounter("hits", hitCount, "demand hits");
     statGroup.addCounter("misses", missCount, "demand misses");
@@ -45,6 +45,11 @@ Cache::Cache(const CacheParams &params)
         double total = double(hitCount.value() + missCount.value());
         return total == 0 ? 0.0 : double(hitCount.value()) / total;
     }, "hits / accesses");
+}
+
+Cache::~Cache()
+{
+    lines.recycle();
 }
 
 bool

@@ -47,6 +47,12 @@ class Cache
   public:
     explicit Cache(const CacheParams &params);
 
+    /** Hands the line array back for the next machine (zero_pages.hh). */
+    ~Cache();
+
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
+
     /** Probe without side effects. */
     bool contains(Addr addr) const;
 
@@ -135,6 +141,7 @@ class Cache
     unsigned lineShift = 0; //!< log2(line_bytes)
     unsigned tagShift = 0;  //!< log2(line_bytes * numSets)
     ZeroPages<Line> lines; // numSets * assoc; untouched until filled
+                           // (fills mark their page written)
     std::uint64_t lruClock = 0;
 
     Counter hitCount;
@@ -171,6 +178,9 @@ Cache::access(Addr addr, bool is_write, bool &hit, Ref *ref)
 
     ++missCount;
     hit = false;
+    // The one write to a line that may never have been touched: any
+    // later write (hit, flush, invalidate) finds it valid.
+    lines.markWritten(static_cast<std::size_t>(victim - lines.data()));
     if (victim->valid && victim->dirty)
         ++writebackCount;
     victim->valid = true;

@@ -16,12 +16,14 @@
  * and still reads as zeros, so a whole-memory scan (the fuzzer's
  * artifact capture) skips it without touching its bytes or its line
  * generations. Both arrays are ZeroPages, so a machine that never
- * touches most of its memory never pages it in.
+ * touches most of its memory never pages it in; the same bits tell the
+ * destructor which pages to zero before it recycles them.
  */
 
 #ifndef ISAGRID_MEM_PHYS_MEM_HH_
 #define ISAGRID_MEM_PHYS_MEM_HH_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -49,12 +51,37 @@ class PhysMem
     static constexpr std::size_t kPageBytes = 1u << kPageShift;
 
     explicit PhysMem(std::size_t size_bytes)
-        : sizeBytes(size_bytes), bytes(size_bytes),
-          lineGens((size_bytes + kLineBytes - 1) >> kLineShift),
+        : sizeBytes(size_bytes),
+          bytes(ZeroPages<std::uint8_t>::reuse(size_bytes)),
+          lineGens(ZeroPages<std::uint64_t>::reuse(
+              (size_bytes + kLineBytes - 1) >> kLineShift)),
           writtenPages((((size_bytes + kPageBytes - 1) >> kPageShift) +
                         63) / 64)
     {
     }
+
+    /** Hands both arrays back for the next machine (zero_pages.hh). */
+    ~PhysMem()
+    {
+        for (std::size_t w = 0; w < writtenPages.size(); ++w) {
+            for (std::uint64_t bits = writtenPages[w]; bits;
+                 bits &= bits - 1) {
+                std::size_t page = w * 64 + std::size_t(__builtin_ctzll(bits));
+                std::size_t first = page << kPageShift;
+                bytes.markWritten(first,
+                                  std::min(kPageBytes, sizeBytes - first));
+                std::size_t line = first >> kLineShift;
+                lineGens.markWritten(
+                    line, std::min(kPageBytes >> kLineShift,
+                                   lineGens.size() - line));
+            }
+        }
+        bytes.recycle();
+        lineGens.recycle();
+    }
+
+    PhysMem(const PhysMem &) = delete;
+    PhysMem &operator=(const PhysMem &) = delete;
 
     std::size_t size() const { return sizeBytes; }
 

@@ -179,6 +179,35 @@ TEST(DecodeCacheSlots, FreshCacheMissesInEverySlot)
     EXPECT_EQ(cache.hits(), 0u);
 }
 
+TEST(DecodeCacheSlots, RecycledCacheMissesInEverySlot)
+{
+    PhysMem mem(64 * 1024);
+    const std::uint32_t entries = MachineConfig{}.decode_cache_entries;
+    DecodedInst inst;
+    inst.valid = true;
+    inst.length = 4;
+    {
+        DecodeCache used(mem, entries);
+        for (Addr pc = 0; pc < 4 * entries; pc += 4)
+            used.insert(pc, inst, true, true);
+        ASSERT_NE(used.lookup(0), nullptr);
+    }
+    // Takes the slots the first cache recycled.
+    DecodeCache cache(mem, entries);
+    std::vector<bool> probed(cache.numEntries());
+    std::size_t left = probed.size();
+    for (Addr pc = 0; left > 0 && pc < 64 * probed.size(); ++pc) {
+        ASSERT_EQ(cache.lookup(pc), nullptr) << "pc " << pc;
+        std::size_t slot = cache.slotOf(pc);
+        if (!probed[slot]) {
+            probed[slot] = true;
+            --left;
+        }
+    }
+    EXPECT_EQ(left, 0u) << "some slot was never probed";
+    EXPECT_EQ(cache.hits(), 0u);
+}
+
 TEST(DecodeCacheSlots, PcZeroHitsOnceInserted)
 {
     PhysMem mem(64 * 1024);

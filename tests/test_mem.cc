@@ -15,6 +15,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -46,6 +47,27 @@ residentPages(const void *p, std::size_t len, int &rc)
     for (std::size_t i = 0; i < vec.size(); ++i)
         resident[i] = vec[i] & 1;
     return resident;
+}
+
+/** Whether the page holding @p p is mapped. */
+bool
+mapped(const void *p)
+{
+    int rc = 0;
+    residentPages(p, 1, rc);
+    return rc == 0;
+}
+
+/**
+ * Run @p body on a thread of its own: it starts with no recycled
+ * mappings, and the ones it keeps are unmapped when it ends.
+ */
+template <typename F>
+void
+onOwnThread(F body)
+{
+    std::thread t(body);
+    t.join();
 }
 
 } // namespace
@@ -131,6 +153,148 @@ TEST(ZeroPages, ReadingOnePastTheEndFaults)
     EXPECT_DEATH((void)p[1000], "");
 }
 
+TEST(ZeroPages, RecycleZeroesMarkedPagesAndKeepsTheMapping)
+{
+    onOwnThread([] {
+        // 5000 elements fill no whole number of pages, so the data
+        // starts part-way into the first page of the mapping.
+        auto a = ZeroPages<std::uint32_t>::reuse(5000);
+        std::uint32_t *first = a.data();
+        for (std::size_t i : {0, 1023, 1024, 4999}) {
+            a[i] = 7;
+            a.markWritten(i);
+        }
+        for (std::size_t i = 2000; i < 2100; ++i)
+            a[i] = 1;
+        a.markWritten(2000, 100);
+        a.recycle();
+        EXPECT_EQ(a.data(), nullptr);
+        EXPECT_EQ(a.size(), 0u);
+
+        auto b = ZeroPages<std::uint32_t>::reuse(5000);
+        EXPECT_EQ(b.data(), first) << "the recycled mapping comes back";
+        for (std::size_t i = 0; i < b.size(); ++i)
+            ASSERT_EQ(b[i], 0u) << "element " << i;
+        int rc = 0;
+        std::vector<bool> resident =
+            residentPages(b.data(), 5000 * sizeof(std::uint32_t), rc);
+        EXPECT_GT(std::count(resident.begin(), resident.end(), true), 0)
+            << "zeroed pages stay resident, so touching them again "
+               "does not fault";
+        b.recycle();
+
+        // A size with the same page count takes the same mapping, its
+        // data moved to end at the guard page again.
+        auto c = ZeroPages<std::uint8_t>::reuse(5000 * 4 - 10);
+        EXPECT_EQ(c.data(), reinterpret_cast<std::uint8_t *>(first) + 10);
+        for (std::size_t i = 0; i < c.size(); ++i)
+            ASSERT_EQ(c[i], 0u) << "byte " << i;
+        EXPECT_DEATH((void)static_cast<const volatile std::uint8_t *>(
+                         c.data())[c.size()],
+                     "");
+    });
+}
+
+TEST(ZeroPages, RecycleReleasesALargeWrittenSetToTheHost)
+{
+    onOwnThread([] {
+        // Far more distinct written pages than a kept mapping may hold.
+        constexpr std::size_t kBytes = 16u << 20;
+        auto a = ZeroPages<std::uint8_t>::reuse(kBytes);
+        for (std::size_t i = 0; i < kBytes; i += kHostPage)
+            a[i + 1] = 1;
+        a.markWritten(0, kBytes);
+        const void *kept = a.data();
+        a.recycle();
+
+        auto b = ZeroPages<std::uint8_t>::reuse(kBytes);
+        EXPECT_EQ(b.data(), kept);
+        int rc = 0;
+        std::vector<bool> resident = residentPages(b.data(), kBytes, rc);
+        ASSERT_EQ(rc, 0);
+        EXPECT_EQ(std::count(resident.begin(), resident.end(), true), 0)
+            << "every page went back to the host";
+        for (std::size_t i = 0; i < kBytes; i += kHostPage)
+            ASSERT_EQ(b[i + 1], 0) << "byte " << i + 1;
+    });
+}
+
+TEST(ZeroPages, PlainArraysNeverTakeARecycledMapping)
+{
+    onOwnThread([] {
+        constexpr std::size_t kBytes = 1u << 20;
+        auto r = ZeroPages<std::uint8_t>::reuse(kBytes);
+        r[5] = 1;
+        r.markWritten(5);
+        const void *kept = r.data();
+        r.recycle();
+
+        ZeroPages<std::uint8_t> fresh(kBytes);
+        EXPECT_NE(fresh.data(), kept);
+        int rc = 0;
+        std::vector<bool> resident = residentPages(fresh.data(), kBytes, rc);
+        ASSERT_EQ(rc, 0);
+        EXPECT_EQ(std::count(resident.begin(), resident.end(), true), 0);
+    });
+}
+
+TEST(ZeroPages, KeepsFewMappingsAndUnmapsThemWithTheThread)
+{
+    constexpr std::size_t kArrays = 100;
+    std::vector<const void *> bases;
+    onOwnThread([&] {
+        std::vector<ZeroPages<std::uint64_t>> arrays;
+        for (std::size_t i = 0; i < kArrays; ++i)
+            arrays.push_back(ZeroPages<std::uint64_t>::reuse(512));
+        for (auto &a : arrays) {
+            bases.push_back(a.data());
+            a.recycle();
+        }
+        std::size_t kept = 0;
+        for (const void *base : bases)
+            kept += mapped(base);
+        EXPECT_GT(kept, 0u);
+        EXPECT_LT(kept, kArrays) << "a thread keeps a bounded number";
+    });
+    for (const void *base : bases)
+        EXPECT_FALSE(mapped(base)) << "the thread's exit unmaps them";
+}
+
+TEST(PhysMem, RecycledMemoryReadsZeroAgain)
+{
+    onOwnThread([] {
+        const Addr page = PhysMem::kPageBytes;
+        const std::size_t size = 64 * page + 100; // last page partial
+        {
+            PhysMem mem(size);
+            mem.write16(2 * page - 1, 0xffff);
+            std::vector<std::uint8_t> block(2 * page + 2, 0xa5);
+            mem.writeBlock(7 * page - 1, block.data(), block.size());
+            mem.write64(size - 8, ~std::uint64_t{0});
+        }
+        {
+            // The destroyed memory's guest bytes come back resident
+            // and zero.
+            auto bytes = ZeroPages<std::uint8_t>::reuse(size);
+            int rc = 0;
+            std::vector<bool> resident =
+                residentPages(bytes.data(), size, rc);
+            EXPECT_GT(std::count(resident.begin(), resident.end(), true),
+                      0);
+            for (std::size_t i = 0; i < size; ++i)
+                ASSERT_EQ(bytes[i], 0) << "byte " << i;
+            bytes.recycle();
+        }
+        PhysMem mem(size);
+        for (Addr a = 0; a < size; ++a)
+            ASSERT_EQ(mem.read8(a), 0) << "addr " << a;
+        for (Addr a = 0; a < size; a += PhysMem::kLineBytes)
+            ASSERT_EQ(mem.lineGen(a), 0u) << "addr " << a;
+        for (Addr a = 0; a < size; a += page)
+            EXPECT_FALSE(mem.pageWritten(a)) << "addr " << a;
+    });
+}
+
 TEST(PhysMem, WrittenPagesFollowEveryWriter)
 {
     const Addr page = PhysMem::kPageBytes;
@@ -209,6 +373,27 @@ TEST(Cache, HitAfterFill)
     EXPECT_TRUE(hit);
     cache.access(0x140, false, hit);
     EXPECT_FALSE(hit);
+}
+
+TEST(Cache, RecycledLinesStartInvalid)
+{
+    onOwnThread([] {
+        const CacheParams params{"c", 64 * 1024, 64, 4, 1};
+        const Addr span = 2 * params.size_bytes;
+        {
+            Cache cache(params);
+            bool hit = false;
+            for (Addr a = 0; a < span; a += params.line_bytes)
+                cache.access(a, true, hit);
+        }
+        Cache cache(params);
+        for (Addr a = 0; a < span; a += params.line_bytes)
+            ASSERT_FALSE(cache.contains(a)) << "addr " << a;
+        bool hit = true;
+        cache.access(span - params.line_bytes, false, hit);
+        EXPECT_FALSE(hit);
+        EXPECT_EQ(cache.hits(), 0u);
+    });
 }
 
 TEST(Cache, LruEviction)
