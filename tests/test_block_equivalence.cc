@@ -9,8 +9,11 @@
  *  - enabling the engine changes nothing observable: architectural
  *    results, cycle counts and every modeled statistic are
  *    bit-identical on the LMbench suite (all three stock PCU
- *    configurations, both ISAs) and across the whole attack corpus —
- *    including the exact faulting pc of every blocked attack;
+ *    configurations plus bypass-off, 1-entry and unified privilege
+ *    caches, both ISAs), on gate-heavy code (Table 4's ping-pong and
+ *    a call/return mix that switches every few instructions, final
+ *    domain included) and across the whole attack corpus — including
+ *    the exact faulting pc of every blocked attack;
  *  - self-modifying code observes the new instruction on the very
  *    next execution (invalidation is exact, per 64B write
  *    generation);
@@ -24,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -34,8 +38,10 @@
 #include "isa/riscv/assembler.hh"
 #include "isa/riscv/opcodes.hh"
 #include "isa/x86/assembler.hh"
+#include "kernel/asm_iface.hh"
 #include "kernel/kernel_builder.hh"
 #include "kernel/layout.hh"
+#include "kernel/syscalls.hh"
 #include "workloads/lmbench.hh"
 
 using namespace isagrid;
@@ -173,7 +179,9 @@ runLmbench(bool x86_isa, bool block_on, PcuConfig pcu)
     KernelBuilder builder(*m, kc);
     KernelImage image = builder.build(entry);
     RunResult r = m->run(image.boot_pc, 200'000'000);
-    if (block_on) {
+    // Without the bypass register no check outcome can be memoized,
+    // so the engine leaves every non-zero domain to the interpreter.
+    if (block_on && pcu.bypass_enabled) {
         const BlockEngine *eng = m->core().blockEngine();
         EXPECT_NE(eng, nullptr);
         EXPECT_GT(eng->stats().entries, 0u)
@@ -193,8 +201,7 @@ runAttackWithEngine(const AttackScenario &scenario, bool x86_isa,
 {
     PreparedAttack prepared = prepareAttack(scenario, x86_isa, true);
     Machine &m = *prepared.machine;
-    if (block_on)
-        m.core().setBlockEngine(kHotNow);
+    m.core().setBlockEngine(block_on ? kHotNow : 0);
     m.core().reset(prepared.payload_entry);
     m.pcu().setGridReg(GridReg::Domain, prepared.payload_domain);
     RunResult r = m.core().run(100'000);
@@ -306,15 +313,35 @@ TEST(BlockSmc, PathologicalPatchingMatchesInterpreter)
 class BlockLmbench
     : public ::testing::TestWithParam<std::tuple<bool, int>>
 {
-  protected:
+  public:
     static PcuConfig
     pcuOf(int idx)
     {
+        PcuConfig pcu = PcuConfig::config8E();
         switch (idx) {
           case 0: return PcuConfig::config16E();
-          case 1: return PcuConfig::config8E();
-          default: return PcuConfig::config8EN();
+          case 1: return pcu;
+          case 2: return PcuConfig::config8EN();
+          case 3: // no bypass register: every check walks the caches
+            pcu.bypass_enabled = false;
+            return pcu;
+          case 4: // 1-entry HPT and SGT caches: a miss on every switch
+            pcu.hpt_cache_entries = 1;
+            pcu.sgt_cache_entries = 1;
+            return pcu;
+          default: // one unified HPT cache
+            pcu.unified_hpt_cache = true;
+            return pcu;
         }
+    }
+
+    static const char *
+    nameOf(int idx)
+    {
+        static const char *const names[] = {"16E",       "8E",
+                                            "8EN",       "8E_nobypass",
+                                            "1E",        "8E_unified"};
+        return names[idx];
     }
 };
 
@@ -328,13 +355,196 @@ TEST_P(BlockLmbench, OnOffBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, BlockLmbench,
-    ::testing::Combine(::testing::Bool(), ::testing::Range(0, 3)),
+    ::testing::Combine(::testing::Bool(), ::testing::Range(0, 6)),
     [](const auto &info) {
-        const char *pcu = std::get<1>(info.param) == 0   ? "16E"
-                          : std::get<1>(info.param) == 1 ? "8E"
-                                                         : "8EN";
         return std::string(std::get<0>(info.param) ? "x86" : "riscv") +
-               "_" + pcu;
+               "_" + BlockLmbench::nameOf(std::get<1>(info.param));
+    });
+
+// ---------------------------------------------------------------------
+// Gate-heavy code: a domain switch every few instructions
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** One gate-heavy run: result, stat dump and the final domain. */
+struct GateRun
+{
+    RunResult result;
+    std::string stats;
+    DomainId domain = 0;
+};
+
+/**
+ * Table 4's hccall row: one-way hccalls alternating between two
+ * baseline domains, 16 gate sites per loop pass, run from reset in
+ * domain-0 with no kernel (bench/bench_scenarios.cc, table4).
+ */
+GateRun
+runPingPong(bool x86, bool block_on)
+{
+    auto m = x86 ? Machine::gem5x86(blockConfig(block_on))
+                 : Machine::rocket(blockConfig(block_on));
+    DomainId d1 = m->domains().createBaselineDomain();
+    DomainId d2 = m->domains().createBaselineDomain();
+    auto ap = x86 ? makeX86Asm(layout::userCodeBase)
+                  : makeRiscvAsm(layout::userCodeBase);
+    AsmIface &a = *ap;
+    struct Site
+    {
+        Addr pc;
+        AsmIface::Label dest;
+        DomainId domain;
+    };
+    std::vector<Site> sites;
+    auto site = [&](DomainId dest_domain) {
+        a.li(a.regGate(), m->domains().numGates() + sites.size());
+        Addr pc = a.here();
+        auto dest = a.newLabel();
+        a.hccall(a.regGate());
+        a.bind(dest);
+        sites.push_back({pc, dest, dest_domain});
+    };
+    unsigned u0 = a.regUser(0);
+    a.li(a.regSp(), layout::userStackTop);
+    site(d1); // warm-up pass
+    a.li(u0, 40);
+    auto loop = a.newLabel();
+    a.bind(loop);
+    for (unsigned s = 0; s < 16; ++s)
+        site(s % 2 ? d1 : d2);
+    a.loopDec(u0, loop);
+    a.li(a.regArg(0), 0);
+    a.halt(a.regArg(0));
+    a.loadInto(m->mem());
+    for (const Site &s : sites)
+        m->domains().registerGate(s.pc, a.labelAddr(s.dest), s.domain);
+    m->domains().publish();
+    m->core().reset(layout::userCodeBase);
+
+    GateRun out;
+    out.result = m->core().run(1'000'000);
+    std::ostringstream os;
+    m->dumpStats(os);
+    out.stats = os.str();
+    out.domain = m->pcu().currentDomain();
+    return out;
+}
+
+/**
+ * The repository benchmark's gates-x86 shape on a monolithic kernel:
+ * passes of 4 hccalls/hcrets pairs from d1 into d2 and d3, repeated
+ * 4 times, then one-way hccalls through every domain to domain-0, an
+ * empty syscall and a hop back to d1 (perfbench/bench.cc, GatesX86).
+ */
+GateRun
+runCallReturn(bool x86, bool block_on)
+{
+    auto m = x86 ? Machine::gem5x86(blockConfig(block_on))
+                 : Machine::rocket(blockConfig(block_on));
+    KernelConfig kc;
+    kc.mode = KernelMode::Monolithic;
+    KernelBuilder builder(*m, kc);
+    Addr boot_pc = builder.build(layout::userCodeBase).boot_pc;
+    std::array<DomainId, 4> slot{};
+    for (unsigned i = 1; i < slot.size(); ++i)
+        slot[i] = m->domains().createBaselineDomain();
+
+    auto ap = x86 ? makeX86Asm(layout::userCodeBase)
+                  : makeRiscvAsm(layout::userCodeBase);
+    AsmIface &a = *ap;
+    struct Site
+    {
+        Addr pc;
+        AsmIface::Label dest;
+        DomainId domain;
+    };
+    std::vector<Site> sites;
+    std::array<AsmIface::Label, 4> callee{};
+    for (auto &l : callee)
+        l = a.newLabel();
+    auto gate = [&](bool extended, AsmIface::Label dest, unsigned s) {
+        a.li(a.regGate(), m->domains().numGates() + sites.size());
+        Addr pc = a.here();
+        if (extended)
+            a.hccalls(a.regGate());
+        else
+            a.hccall(a.regGate());
+        sites.push_back({pc, dest, slot[s]});
+    };
+    auto hop = [&](unsigned s) {
+        auto next = a.newLabel();
+        gate(false, next, s);
+        a.bind(next);
+    };
+    auto pairs = [&] {
+        for (unsigned s = 0; s < 4; ++s)
+            gate(true, callee[2 + s % 2], 2 + s % 2);
+    };
+    unsigned u0 = a.regUser(0), u1 = a.regUser(1);
+    a.li(a.regSp(), layout::userStackTop);
+    hop(1);
+    a.li(u0, 30);
+    auto outer = a.newLabel();
+    a.bind(outer);
+    a.li(u1, 4);
+    auto hot = a.newLabel();
+    a.bind(hot);
+    pairs();
+    a.loopDec(u1, hot);
+    for (unsigned c = 0; c < 5; ++c)
+        hop(1 + (c + 1) % 3);
+    hop(0);
+    a.li(a.regArg(0), std::uint64_t(Sys::Getpid));
+    a.syscallInst();
+    hop(1);
+    a.loopDec(u0, outer);
+    a.li(a.regArg(0), 0);
+    a.halt(a.regArg(0));
+    for (unsigned s = 2; s < callee.size(); ++s) {
+        a.bind(callee[s]);
+        a.hcrets();
+    }
+    a.loadInto(m->mem());
+    for (const Site &s : sites)
+        m->domains().registerGate(s.pc, a.labelAddr(s.dest), s.domain);
+    m->domains().publish();
+
+    GateRun out;
+    out.result = m->run(boot_pc, 1'000'000);
+    std::ostringstream os;
+    m->dumpStats(os);
+    out.stats = os.str();
+    out.domain = m->pcu().currentDomain();
+    return out;
+}
+
+} // namespace
+
+class BlockGates : public ::testing::TestWithParam<std::tuple<bool, bool>>
+{
+};
+
+TEST_P(BlockGates, OnOffBitIdentical)
+{
+    auto [x86, pingpong] = GetParam();
+    auto run = pingpong ? runPingPong : runCallReturn;
+    GateRun on = run(x86, true);
+    GateRun off = run(x86, false);
+    ASSERT_EQ(off.result.reason, StopReason::Halted);
+    EXPECT_EQ(off.result.halt_code, 0u);
+    expectIdentical({on.result, on.stats}, {off.result, off.stats},
+                    pingpong ? "ping-pong" : "call/return");
+    EXPECT_EQ(on.domain, off.domain);
+    EXPECT_NE(off.domain, 0u) << "the program ends in a baseline domain";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BlockGates,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param) ? "x86" : "riscv") +
+               (std::get<1>(info.param) ? "_pingpong" : "_callret");
     });
 
 // ---------------------------------------------------------------------
