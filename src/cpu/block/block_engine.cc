@@ -10,9 +10,23 @@ BlockEngine::BlockEngine(const IsaModel &isa, PhysMem &mem,
                          std::uint32_t hot_threshold)
     : isa_(isa), mem(mem), pcu_(pcu),
       hotThreshold_(std::max<std::uint32_t>(hot_threshold, 1)),
-      slots_(std::size_t{1} << kSlotBits),
-      heat_(std::size_t{1} << kHeatBits)
+      slots_(ZeroPages<Slot>::reuse(std::size_t{1} << kSlotBits)),
+      heat_(ZeroPages<HeatSlot>::reuse(std::size_t{1} << kHeatBits))
 {
+}
+
+BlockEngine::~BlockEngine()
+{
+    slots_.recycle();
+    heat_.recycle();
+}
+
+void
+BlockEngine::setSlot(Addr pc, TransBlock *block)
+{
+    std::size_t i = slotIndex(pc);
+    slots_.markWritten(i);
+    slots_[i] = Slot{~pc, block};
 }
 
 TransBlock *
@@ -21,20 +35,21 @@ BlockEngine::findCold(Addr pc)
     auto it = blocks_.find(pc);
     if (it == blocks_.end())
         return nullptr;
-    Slot &s = slots_[slotIndex(pc)];
-    s.pc = pc;
-    s.block = it->second.get();
-    return s.block;
+    setSlot(pc, it->second.get());
+    return it->second.get();
 }
 
 TransBlock *
 BlockEngine::heat(Addr pc)
 {
-    HeatSlot &h = heat_[heatIndex(pc)];
-    if (h.pc != pc) {
+    std::size_t i = heatIndex(pc);
+    HeatSlot &h = heat_[i];
+    if (h.tag != ~pc) {
         // Collisions just replace the counter: a displaced pc only
         // re-earns its heat, delaying (never preventing) translation.
-        h.pc = pc;
+        // Only a new tag can be a slot's first write.
+        heat_.markWritten(i);
+        h.tag = ~pc;
         h.count = 1;
         return nullptr;
     }
@@ -42,12 +57,6 @@ BlockEngine::heat(Addr pc)
         return nullptr;
     h.count = 0;
     return translate(pc);
-}
-
-void
-BlockEngine::addLeaders(const std::vector<Addr> &leaders)
-{
-    leaders_.insert(leaders.begin(), leaders.end());
 }
 
 std::vector<Addr>
@@ -62,22 +71,32 @@ BlockEngine::blockPcs() const
     return pcs;
 }
 
+std::array<BlockEngine::TableSpan, 2>
+BlockEngine::tableSpans() const
+{
+    return {{{slots_.data(), slots_.size() * sizeof(Slot)},
+             {heat_.data(), heat_.size() * sizeof(HeatSlot)}}};
+}
+
 void
 BlockEngine::flushAll()
 {
     // No TransBlock pointer is live here: translation only runs from
     // the top of the core's block loop (never while a block executes),
-    // and chain pointers die with the blocks that hold them.
+    // and chain pointers die with the blocks that hold them. Every
+    // filled lookup slot points at a block, so clearing the blocks'
+    // own slots empties the table without touching its other pages.
+    for (const auto &[pc, b] : blocks_)
+        slots_[slotIndex(pc)] = Slot{};
     blocks_.clear();
-    std::fill(slots_.begin(), slots_.end(), Slot{});
 }
 
 bool
 BlockEngine::eligible(const DecodedInst &inst) const
 {
     // Only instructions whose stepOne path is pure
-    // execute + memory + retire may join a block: anything touching
-    // CSRs, gates, traps, the PCU buffers or the halt/syscall exits
+    // execute + memory + retire, or a gate, may join a block: anything
+    // touching CSRs, traps, the PCU buffers or the halt/syscall exits
     // terminates translation and stays with the interpreter.
     switch (inst.cls) {
       case InstClass::IntAlu:
@@ -87,6 +106,9 @@ BlockEngine::eligible(const DecodedInst &inst) const
       case InstClass::Jump:
       case InstClass::Nop:
       case InstClass::SimMark:
+      case InstClass::GateCall:
+      case InstClass::GateCallS:
+      case InstClass::GateRet:
         break;
       default:
         return false;
@@ -110,8 +132,6 @@ BlockEngine::translateInto(TransBlock &b)
     while (b.ops.size() < kMaxOps && pc - b.start < kMaxBytes) {
         if (pc >= mem.size())
             break;
-        if (!b.ops.empty() && isLeader(pc))
-            break;
         std::uint8_t buf[16] = {};
         std::size_t avail =
             std::min<std::size_t>(max_inst, mem.size() - pc);
@@ -123,7 +143,8 @@ BlockEngine::translateInto(TransBlock &b)
         b.need_words[HptLayout::instGroupOf(inst.type)] |=
             std::uint64_t{1} << HptLayout::instBitOf(inst.type);
         bool terminator = inst.cls == InstClass::Branch ||
-                          inst.cls == InstClass::Jump;
+                          inst.cls == InstClass::Jump ||
+                          isGateClass(inst.cls);
         pc += inst.length;
         b.ops.push_back(BlockOp{pc - inst.length, std::move(inst)});
         if (terminator)
@@ -155,9 +176,7 @@ BlockEngine::translate(Addr pc)
         ++stats_.translations;
     TransBlock *raw = block.get();
     blocks_.emplace(pc, std::move(block));
-    Slot &s = slots_[slotIndex(pc)];
-    s.pc = pc;
-    s.block = raw;
+    setSlot(pc, raw);
     return raw;
 }
 

@@ -25,7 +25,16 @@
  *    re-validation. HPT writes without a flush leave the bypass
  *    register stale in hardware and interpreter alike, and the memo
  *    inherits exactly that staleness: translated and interpreted
- *    execution observe identical check outcomes.
+ *    execution observe identical check outcomes. Where the memo
+ *    cannot vouch for a block (the register is invalid after a
+ *    switch, disabled, or denies a needed bit, or the legal-
+ *    instruction cache is on) the block runs its ops with the PCU's
+ *    real per-op check: op 0 then refills the register with exactly
+ *    the interpreter's stall, counters and fault, and the memo is
+ *    re-validated before op 1;
+ *  - the gates (`hccall`, `hccalls`, `hcrets`) end a block and commit
+ *    through the core's gate helper, so execution chains across a
+ *    domain switch into the destination block, whose op 0 refills.
  *
  * Translated blocks are invalidated *exactly* under self-modifying
  * code via the per-64B-line write generations PhysMem already keeps
@@ -34,6 +43,10 @@
  * compare, translation kept) from real code patches (retranslate in
  * place, preserving chain pointers), and blacklists blocks that
  * re-patch pathologically.
+ *
+ * The lookup and heat tables are recycled zero pages
+ * (mem/zero_pages.hh), tagged with ~pc like the decode cache, so an
+ * engine that never runs costs no clearing and touches no table page.
  *
  * The engine never observes anything architectural: all modeled
  * state — timing accesses, stats, fault delivery, per-domain
@@ -52,12 +65,12 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "isa/isa_model.hh"
 #include "isagrid/pcu.hh"
 #include "mem/phys_mem.hh"
+#include "mem/zero_pages.hh"
 
 namespace isagrid {
 
@@ -75,7 +88,7 @@ struct TransBlock
     Addr byte_end = 0; //!< one past the last translated byte
     /** Any op fails the classical check in user mode. */
     bool any_privileged = false;
-    /** Blacklisted: untranslatable leader or pathological SMC. */
+    /** Blacklisted: untranslatable entry or pathological SMC. */
     bool dead = false;
     std::uint32_t invalidations = 0; //!< real code patches observed
     std::vector<BlockOp> ops;
@@ -144,12 +157,18 @@ class BlockEngine
                 const PrivilegeCheckUnit &pcu,
                 std::uint32_t hot_threshold = kDefaultHotThreshold);
 
+    /** Hands the tables back for the next engine (zero_pages.hh). */
+    ~BlockEngine();
+
+    BlockEngine(const BlockEngine &) = delete;
+    BlockEngine &operator=(const BlockEngine &) = delete;
+
     /** Look up a translation at @p pc; never translates. */
     TransBlock *
     find(Addr pc)
     {
         Slot &s = slots_[slotIndex(pc)];
-        if (s.pc == pc) [[likely]]
+        if (s.tag == ~pc) [[likely]]
             return s.block;
         return findCold(pc);
     }
@@ -159,14 +178,6 @@ class BlockEngine
      * returns the new block) once the hotness threshold is reached.
      */
     TransBlock *heat(Addr pc);
-
-    /**
-     * Seed known block boundaries (CFG leaders): translation never
-     * runs past a leader, so blocks line up with the static CFG and
-     * chain at its edges instead of overlapping it.
-     */
-    void addLeaders(const std::vector<Addr> &leaders);
-    bool isLeader(Addr pc) const { return leaders_.count(pc) != 0; }
 
     /** Drop every translation (capacity, or external request). */
     void flushAll();
@@ -194,21 +205,11 @@ class BlockEngine
     HostStats &stats() { return stats_; }
     const HostStats &stats() const { return stats_; }
 
-  private:
-    struct Slot
-    {
-        Addr pc = ~Addr{0};
-        TransBlock *block = nullptr;
-    };
-    struct HeatSlot
-    {
-        Addr pc = ~Addr{0};
-        std::uint32_t count = 0;
-    };
-
+    /** Entries of the lookup table and of the heat table. */
     static constexpr unsigned kSlotBits = 13; // 8192 entries
     static constexpr unsigned kHeatBits = 13;
 
+    /** Fibonacci hashes of @p pc into the two tables. */
     static std::size_t
     slotIndex(Addr pc)
     {
@@ -220,7 +221,31 @@ class BlockEngine
         return (pc * 0x9E3779B97F4A7C15ull) >> (64 - kHeatBits);
     }
 
+    /** Host storage of one table (tests check its page residency). */
+    struct TableSpan
+    {
+        const void *data = nullptr;
+        std::size_t bytes = 0;
+    };
+    std::array<TableSpan, 2> tableSpans() const;
+
+  private:
+    /** A lookup-table entry; all zero is empty (tag ~pc, see file). */
+    struct Slot
+    {
+        Addr tag = 0;
+        TransBlock *block = nullptr;
+    };
+    /** A heat-table entry: executions of an untranslated pc. */
+    struct HeatSlot
+    {
+        Addr tag = 0;
+        std::uint32_t count = 0;
+    };
+
     TransBlock *findCold(Addr pc);
+    /** Point @p pc's lookup slot at @p block. */
+    void setSlot(Addr pc, TransBlock *block);
     TransBlock *translate(Addr pc);
     /** (Re)build @p b from the current memory image at b.start. */
     void translateInto(TransBlock &b);
@@ -232,9 +257,8 @@ class BlockEngine
     std::uint32_t hotThreshold_;
 
     std::unordered_map<Addr, std::unique_ptr<TransBlock>> blocks_;
-    std::vector<Slot> slots_;
-    std::vector<HeatSlot> heat_;
-    std::unordered_set<Addr> leaders_;
+    ZeroPages<Slot> slots_;
+    ZeroPages<HeatSlot> heat_;
     HostStats stats_;
 };
 

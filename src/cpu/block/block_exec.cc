@@ -7,9 +7,10 @@
  * privilege check and the ISA-Grid instruction-check memo — see
  * cpu/block/block_engine.hh), the self-modifying-code exit and
  * chaining. Each op then commits through the same CoreBase helpers
- * as stepOne() — fetch timing, data access, flushes, simmarks, halt,
- * fault delivery and the retire step — so RunResult and every stat
- * dump are bit-identical with the engine on or off
+ * as stepOne() — fetch timing, the PCU's own instruction check where
+ * the memo cannot vouch for the block, gates, data access, flushes,
+ * simmarks, halt, fault delivery and the retire step — so RunResult
+ * and every stat dump are bit-identical with the engine on or off
  * (tests/test_block_equivalence.cc enforces this).
  */
 
@@ -37,8 +38,8 @@ CoreBase::runBlocks(RunResult &result, std::uint64_t budget)
             if (consumed != 0)
                 continue;
             // Entry conditions failed: hand the next instruction to
-            // the interpreter (it refills the bypass register, takes
-            // the pending fault or timer, etc.), then try again.
+            // the interpreter (it takes the pending timer, the
+            // privileged-op or trusted-fetch fault), then try again.
         }
         if (!stepOne(result))
             return;
@@ -67,6 +68,26 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
         (ptrace && (ptrace->filterMask() & kTraceFilterPerOp) != 0);
     TransBlock *b = &block;
     bool chained = false;
+
+    // The check-memo (block_engine.hh): does the bypass register, as
+    // refilled under its current epoch, grant every bit @p blk needs?
+    // The legal-instruction cache decides per (domain, pc), so with
+    // it on every op takes the PCU's own check.
+    const bool legal_cache = pcu_.config().legal_cache_entries != 0;
+    auto memo_covers = [&](TransBlock &blk) {
+        if (legal_cache || !pcu_.bypassReady())
+            return false;
+        if (blk.memo_epoch == pcu_.bypassEpoch()) {
+            ++eng.stats().memo_hits;
+            return true;
+        }
+        if (!pcu_.bypassCovers(blk.need_words.data(),
+                               blk.need_words.size()))
+            return false;
+        blk.memo_epoch = pcu_.bypassEpoch();
+        ++eng.stats().memo_fills;
+        return true;
+    };
 
     for (;;) {
         // --- exact SMC revalidation (per-line write generations) ---
@@ -110,35 +131,17 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
             }
         } else {
             // --- hoisted entry conditions (hot mode) ---
-            const DomainId domain = pcu_.currentDomain();
-            bool ok = pcu_.config().legal_cache_entries == 0 &&
-                      !(archState.mode == PrivMode::User &&
-                        b->any_privileged) &&
-                      pcu_.memoryAccessAllowed(b->start,
-                                               b->byte_end - b->start);
-            if (ok && domain != 0) {
-                // The per-(domain, block) check-memo: all needed
-                // instruction-bitmap bits must be granted by the
-                // current bypass register. A matching epoch proves
-                // that without rescanning.
-                if (!pcu_.bypassReady()) {
-                    ok = false;
-                } else if (b->memo_epoch == pcu_.bypassEpoch()) {
-                    ++eng.stats().memo_hits;
-                } else if (pcu_.bypassCovers(b->need_words.data(),
-                                             b->need_words.size())) {
-                    b->memo_epoch = pcu_.bypassEpoch();
-                    ++eng.stats().memo_fills;
-                } else {
-                    // Some op would be denied: the interpreter path
-                    // faults at exactly the right instruction.
-                    ok = false;
-                }
-            }
-            if (!ok) {
+            if ((archState.mode == PrivMode::User && b->any_privileged) ||
+                !pcu_.memoryAccessAllowed(b->start,
+                                          b->byte_end - b->start)) {
                 ++eng.stats().fallbacks;
                 return true;
             }
+            // Domain-0 holds every privilege. Elsewhere, where the
+            // memo cannot vouch for the block, its ops take the PCU's
+            // own check until it can (see below).
+            const bool domain0 = pcu_.currentDomain() == 0;
+            bool exact = !domain0 && !memo_covers(*b);
 
             ++eng.stats().entries;
             if (chained)
@@ -153,7 +156,6 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
             const Cycle deadline = archState.mode == PrivMode::User
                                        ? nextTimer
                                        : kTimerNever;
-            const bool domain0 = domain == 0;
             const Addr blk_start = b->start;
             const Addr blk_end = b->byte_end;
             auto retire_op = [&](const RetireInfo &retire) {
@@ -182,10 +184,46 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                 // to block entry; the modeled accesses were not.
                 timeFetch(op.pc, retire);
 
-                // The hoisted ISA-Grid instruction check: the memo
-                // proved the outcome; account the check exactly as
-                // checkInstruction() would have.
-                pcu_.accountBlockCheck(domain0);
+                if (!exact) [[likely]] {
+                    // The hoisted ISA-Grid instruction check: the
+                    // memo proved the outcome; account the check
+                    // exactly as checkInstruction() would have.
+                    pcu_.accountBlockCheck(domain0);
+                } else if (i != 0 && memo_covers(*b)) {
+                    // Op 0's check refilled the bypass register, and
+                    // it grants the rest of the block.
+                    exact = false;
+                    pcu_.accountBlockCheck(domain0);
+                } else {
+                    // The interpreter's own check: after a switch it
+                    // refills the bypass register with exactly the
+                    // interpreter's stall and counters, and a denied
+                    // op faults where the interpreter would.
+                    CheckOutcome chk = pcu_.checkInstructionAt(
+                        op.inst.type, op.pc, !isGateClass(op.inst.cls));
+                    retire.pcu_stall += chk.stall;
+                    if (!chk.allowed) [[unlikely]] {
+                        bool keep = deliverFault(chk.fault, op.pc,
+                                                 op.inst.type, retire,
+                                                 result);
+                        retire_op(retire);
+                        return keep;
+                    }
+                }
+
+                if (isGateClass(op.inst.cls)) [[unlikely]] {
+                    // A gate ends its block: switch through the
+                    // interpreter's helper, then chain into the
+                    // destination block, whose op 0 refills.
+                    FaultType fault = commitGate(op.inst, op.pc, retire);
+                    bool keep = fault == FaultType::None ||
+                                deliverFault(fault, op.pc, 0, retire,
+                                             result);
+                    retire_op(retire);
+                    if (fault != FaultType::None)
+                        return keep;
+                    break;
+                }
 
                 ExecResult res = isa_.execute(op.inst, archState);
                 FaultType fault = res.fault;

@@ -241,22 +241,9 @@ CoreBase::stepOne(RunResult &result)
 
     // --- unforgeable domain switching (Section 4.2) ---
     if (isGateClass(inst->cls)) {
-        ++gateCount;
-        GateOutcome gate;
-        if (inst->cls == InstClass::GateRet) {
-            gate = pcu_.gateReturn();
-        } else {
-            GateId gid = archState.reg(inst->rs1);
-            gate = pcu_.gateCall(gid, pc,
-                                 inst->cls == InstClass::GateCallS,
-                                 pc + inst->length);
-        }
-        retire.pcu_stall += gate.stall;
-        if (!gate.ok)
-            return fault_out(gate.fault, pc, 0);
-        archState.pc = gate.dest_pc;
-        retire.taken_branch = true;
-        retire.serializing = true;
+        FaultType fault = commitGate(*inst, pc, retire);
+        if (fault != FaultType::None)
+            return fault_out(fault, pc, 0);
         return finish(true);
     }
 

@@ -468,6 +468,31 @@ class CoreBase
         return FaultType::None;
     }
 
+    /**
+     * A gate instruction (hccall, hccalls, hcrets) after its
+     * instruction check: the switch, its stall, and on success the
+     * jump to the destination. Returns the fault to deliver (with 0
+     * as info), or FaultType::None.
+     */
+    FaultType
+    commitGate(const DecodedInst &inst, Addr pc, RetireInfo &retire)
+    {
+        ++gateCount;
+        GateOutcome gate =
+            inst.cls == InstClass::GateRet
+                ? pcu_.gateReturn()
+                : pcu_.gateCall(archState.reg(inst.rs1), pc,
+                                inst.cls == InstClass::GateCallS,
+                                pc + inst.length);
+        retire.pcu_stall += gate.stall;
+        if (!gate.ok)
+            return gate.fault;
+        archState.pc = gate.dest_pc;
+        retire.taken_branch = true;
+        retire.serializing = true;
+        return FaultType::None;
+    }
+
     /** Invalidate both TLBs (sfence.vma, address-space switch). */
     void
     flushTlbs()

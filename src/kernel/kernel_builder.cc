@@ -1,6 +1,5 @@
 #include "kernel/kernel_builder.hh"
 
-#include "cpu/block/block_seed.hh"
 #include "isa/riscv/opcodes.hh"
 #include "isa/x86/opcodes.hh"
 #include "sim/logging.hh"
@@ -883,15 +882,6 @@ KernelBuilder::build(Addr user_entry)
             fatal("kernel image failed static policy verification:\n%s",
                   report.text().c_str());
         }
-    }
-
-    // When the block-translation engine is enabled, seed its block
-    // boundaries from the static CFG of the finished image so hot
-    // translations line up with the real basic blocks (an
-    // optimization only — cpu/block/block_seed.hh).
-    if (machine.core().blockEngine()) {
-        seedBlockLeaders(machine, image.code_regions,
-                         {image.boot_pc, image.trap_entry});
     }
     return image;
 }

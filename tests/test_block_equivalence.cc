@@ -22,15 +22,22 @@
  *    interpreter faults at, even when the faulting instruction sits
  *    in the middle of an already-translated hot block;
  *  - the domain-noninterference oracle (src/contract) reaches the
- *    same verdicts when its replayed machines run the block engine.
+ *    same verdicts when its replayed machines run the block engine;
+ *  - an engine that never runs touches no page of its tables, and an
+ *    engine built on recycled tables starts empty.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <array>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "attacks/attacks.hh"
 #include "contract/contract.hh"
@@ -179,9 +186,7 @@ runLmbench(bool x86_isa, bool block_on, PcuConfig pcu)
     KernelBuilder builder(*m, kc);
     KernelImage image = builder.build(entry);
     RunResult r = m->run(image.boot_pc, 200'000'000);
-    // Without the bypass register no check outcome can be memoized,
-    // so the engine leaves every non-zero domain to the interpreter.
-    if (block_on && pcu.bypass_enabled) {
+    if (block_on) {
         const BlockEngine *eng = m->core().blockEngine();
         EXPECT_NE(eng, nullptr);
         EXPECT_GT(eng->stats().entries, 0u)
@@ -748,4 +753,99 @@ TEST(BlockContract, MaskProbeStillConfirmed)
         << "oracle must still confirm the divergence when its "
            "replayed machines run translated:\n"
         << report.text();
+}
+
+// ---------------------------------------------------------------------
+// Construction: the tables are recycled zero pages
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Resident pages among those covering [p, p + len) (mincore). */
+std::size_t
+residentPageCount(const void *p, std::size_t len)
+{
+    const std::size_t page = std::size_t(sysconf(_SC_PAGESIZE));
+    auto lo = reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+    auto hi = (reinterpret_cast<std::uintptr_t>(p) + len + page - 1) &
+              ~(page - 1);
+    std::vector<unsigned char> vec((hi - lo) / page);
+    EXPECT_EQ(mincore(reinterpret_cast<void *>(lo), hi - lo, vec.data()),
+              0);
+    std::size_t n = 0;
+    for (unsigned char v : vec)
+        n += v & 1;
+    return n;
+}
+
+} // namespace
+
+TEST(BlockEngine, UnusedEngineTouchesNoTablePage)
+{
+    // A thread of its own keeps no recycled mappings, so the tables
+    // are fresh: a resident page means building the machine or its
+    // kernel wrote it.
+    std::thread([] {
+        auto m = Machine::rocket(blockConfig(true));
+        KernelConfig kc;
+        kc.mode = KernelMode::Decomposed;
+        KernelBuilder(*m, kc).build(layout::userCodeBase);
+        const BlockEngine *eng = m->core().blockEngine();
+        ASSERT_NE(eng, nullptr);
+        for (const BlockEngine::TableSpan &t : eng->tableSpans()) {
+            ASSERT_GT(t.bytes, 0u);
+            EXPECT_EQ(residentPageCount(t.data, t.bytes), 0u);
+        }
+    }).join();
+}
+
+TEST(BlockEngine, RecycledTablesStartEmpty)
+{
+    std::thread([] {
+        constexpr std::uint32_t kHot = 3;
+        // PCs that between them hash to every slot of both tables.
+        std::vector<Addr> pcs;
+        std::vector<bool> slot(std::size_t{1} << BlockEngine::kSlotBits);
+        std::vector<bool> heat(std::size_t{1} << BlockEngine::kHeatBits);
+        std::size_t left = slot.size() + heat.size();
+        for (Addr pc = 0; left > 0; pc += 4) {
+            bool fresh = false;
+            for (auto [seen, i] :
+                 {std::pair{&slot, BlockEngine::slotIndex(pc)},
+                  std::pair{&heat, BlockEngine::heatIndex(pc)}}) {
+                if (!(*seen)[i]) {
+                    (*seen)[i] = true;
+                    --left;
+                    fresh = true;
+                }
+            }
+            if (fresh)
+                pcs.push_back(pc);
+        }
+
+        auto m = Machine::rocket(blockConfig(false));
+        CoreBase &core = m->core();
+        core.setBlockEngine(kHot);
+        BlockEngine *used = core.blockEngine();
+        // One heat short of translation everywhere, then translate as
+        // many as fit (guest memory is zero, so each block is dead,
+        // but its lookup slot is filled all the same).
+        for (Addr pc : pcs) {
+            used->heat(pc);
+            used->heat(pc);
+        }
+        for (std::size_t i = 0; i + 1 < BlockEngine::kMaxBlocks; ++i)
+            used->heat(pcs[i]);
+        ASSERT_GT(used->numBlocks(), BlockEngine::kMaxBlocks / 2);
+        core.setBlockEngine(0); // recycles both tables
+        core.setBlockEngine(kHot);
+
+        BlockEngine &eng = *core.blockEngine();
+        for (Addr pc : pcs) {
+            ASSERT_EQ(eng.find(pc), nullptr) << "pc " << pc;
+            ASSERT_EQ(eng.heat(pc), nullptr)
+                << "pc " << pc << " kept its heat from the last engine";
+        }
+        EXPECT_EQ(eng.numBlocks(), 0u);
+    }).join();
 }
