@@ -38,7 +38,7 @@ struct ScenarioOptions
     std::uint32_t decode_cache_entries =
         MachineConfig{}.decode_cache_entries;
     /** Run hot blocks through the block-translation engine. */
-    bool block_engine = false;
+    bool block_engine = MachineConfig{}.block_engine;
     std::uint32_t block_hot_threshold =
         BlockEngine::kDefaultHotThreshold;
     /**

@@ -134,8 +134,8 @@ attacksScenario(bool x86, const ScenarioOptions &opts)
                 prepareAttack(scenario, x86, with_isagrid);
             Machine &m = *prepared.machine;
             m.core().setDecodeCache(opts.decode_cache_entries);
-            if (opts.block_engine)
-                m.core().setBlockEngine(opts.block_hot_threshold);
+            m.core().setBlockEngine(
+                opts.block_engine ? opts.block_hot_threshold : 0);
             m.core().reset(prepared.payload_entry);
             if (with_isagrid) {
                 m.pcu().setGridReg(GridReg::Domain,

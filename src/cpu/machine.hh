@@ -45,9 +45,10 @@ struct MachineConfig
      * hoisted to block entry. Like the decode cache this is a pure
      * host-speed knob — architectural results and all modeled stats
      * are bit-identical either way (tests/test_block_equivalence.cc).
-     * Off by default; the bench harness turns it on per scenario.
+     * On by default; FuzzArtifact::restore() turns it off, so the
+     * fuzz oracles and analyzers replay on the interpreter.
      */
-    bool block_engine = false;
+    bool block_engine = true;
     /** Executions before a basic block is translated. */
     std::uint32_t block_hot_threshold =
         BlockEngine::kDefaultHotThreshold;

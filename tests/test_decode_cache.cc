@@ -29,11 +29,13 @@ using namespace isagrid;
 
 namespace {
 
+/** The interpreter (block engine off) with the given cache size. */
 MachineConfig
 configWithCache(std::uint32_t entries)
 {
     MachineConfig cfg;
     cfg.decode_cache_entries = entries;
+    cfg.block_engine = false;
     return cfg;
 }
 
@@ -132,6 +134,7 @@ runAttackWithCache(const AttackScenario &scenario, bool x86_isa,
     PreparedAttack prepared = prepareAttack(scenario, x86_isa, true);
     Machine &m = *prepared.machine;
     m.core().setDecodeCache(cache_entries);
+    m.core().setBlockEngine(0);
     m.core().reset(prepared.payload_entry);
     m.pcu().setGridReg(GridReg::Domain, prepared.payload_domain);
     RunResult r = m.core().run(100'000);

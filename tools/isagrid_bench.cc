@@ -9,11 +9,14 @@
  * trajectory of the simulator machine-readable.
  *
  * The simulator is deterministic: guest cycles and instructions are
- * identical across repeats, only host wall time varies. With
- * `--compare-decode-cache` each scenario is additionally timed with
- * the decoded-instruction cache disabled and the speedup recorded;
- * `--compare-engine` runs the full three-way ablation (plain
- * interpreter / decode cache / block-translation engine). Compared
+ * identical across repeats, only host wall time varies. The headline
+ * numbers come from the default configuration (ScenarioOptions{}).
+ * With `--compare-decode-cache` each scenario is additionally timed
+ * on the interpreter with and without the decoded-instruction cache
+ * and the speedup recorded; `--compare-engine` runs the full
+ * three-way ablation (plain interpreter / decode cache /
+ * block-translation engine). Each ablation point sets every engine
+ * knob itself, so its meaning does not follow the defaults. Compared
  * configurations are timed *interleaved* — one run of each per
  * repeat, round-robin — so slow drifts in host load bias every
  * configuration equally instead of whichever happened to run last.
@@ -87,13 +90,27 @@ struct Timing
 struct Measured
 {
     const Scenario *scenario = nullptr;
-    Timing on;            //!< decode cache at its default size
-    Timing off;           //!< plain interpreter (decode cache off)
-    Timing block;         //!< block-translation engine on
-    bool compared = false;        //!< `off` valid (decode-cache mode)
-    bool engine_compared = false; //!< `off` and `block` valid
+    Timing on;      //!< the default configuration (headline)
+    Timing interp;  //!< plain interpreter: no decode cache, no engine
+    Timing dcache;  //!< interpreter with the decode cache
+    Timing block;   //!< block-translation engine (and decode cache)
+    bool compared = false;        //!< `interp`, `dcache` valid
+    bool engine_compared = false; //!< `interp`, `dcache`, `block` valid
     std::string metrics_file;     //!< written by the untimed metrics run
 };
+
+/** An ablation point: the engine knobs, each set explicitly. */
+ScenarioOptions
+enginePoint(std::uint32_t decode_cache_entries, bool block_engine)
+{
+    ScenarioOptions o;
+    o.decode_cache_entries = decode_cache_entries;
+    o.block_engine = block_engine;
+    return o;
+}
+
+const std::uint32_t kDecodeCacheEntries =
+    MachineConfig{}.decode_cache_entries;
 
 double
 median(std::vector<double> samples)
@@ -173,11 +190,11 @@ writeGroupJson(const std::string &path, const std::string &group,
         if (m.compared) {
             os << ",\n      \"decode_cache_compare\": {\n";
             std::snprintf(buf, sizeof buf, "%.6f",
-                          m.off.best_seconds);
+                          m.interp.best_seconds);
             os << "        \"off_wall_seconds\": " << buf << ",\n";
-            double speedup = m.on.best_seconds > 0.0
-                                 ? m.off.best_seconds /
-                                       m.on.best_seconds
+            double speedup = m.dcache.best_seconds > 0.0
+                                 ? m.interp.best_seconds /
+                                       m.dcache.best_seconds
                                  : 0.0;
             std::snprintf(buf, sizeof buf, "%.3f", speedup);
             os << "        \"speedup\": " << buf << "\n";
@@ -189,18 +206,18 @@ writeGroupJson(const std::string &path, const std::string &group,
             };
             os << ",\n      \"engine_compare\": {\n";
             std::snprintf(buf, sizeof buf, "%.6f",
-                          m.off.best_seconds);
+                          m.interp.best_seconds);
             os << "        \"interpret_wall_seconds\": " << buf
                << ",\n";
             std::snprintf(buf, sizeof buf, "%.6f",
                           m.block.best_seconds);
             os << "        \"block_wall_seconds\": " << buf << ",\n";
             std::snprintf(buf, sizeof buf, "%.3f",
-                          ratio(m.off.best_seconds,
+                          ratio(m.interp.best_seconds,
                                 m.block.best_seconds));
             os << "        \"block_vs_interpret\": " << buf << ",\n";
             std::snprintf(buf, sizeof buf, "%.3f",
-                          ratio(m.on.best_seconds,
+                          ratio(m.dcache.best_seconds,
                                 m.block.best_seconds));
             os << "        \"block_vs_decode_cache\": " << buf << "\n";
             os << "      }";
@@ -387,32 +404,27 @@ main(int argc, char **argv)
             const Scenario &s = scenarios[idx];
             Measured &m = measured[idx];
             m.scenario = &s;
-            // Configuration 0 is always the default (headline MIPS);
-            // compare modes append the ablation points. The plain
-            // interpreter serves both compare modes.
+            // Configuration 0 is the default (headline MIPS); compare
+            // modes append the ablation points, each fully specified.
+            // Both compare modes share the two interpreter points.
             std::vector<ScenarioOptions> configs{ScenarioOptions{}};
-            int off_idx = -1, block_idx = -1;
             if (opts.compare_decode_cache || opts.compare_engine) {
-                ScenarioOptions interp;
-                interp.decode_cache_entries = 0;
-                off_idx = int(configs.size());
-                configs.push_back(interp);
+                configs.push_back(enginePoint(0, false));
+                configs.push_back(enginePoint(kDecodeCacheEntries, false));
             }
-            if (opts.compare_engine) {
-                ScenarioOptions blk;
-                blk.block_engine = true;
-                block_idx = int(configs.size());
-                configs.push_back(blk);
-            }
+            if (opts.compare_engine)
+                configs.push_back(enginePoint(kDecodeCacheEntries, true));
             std::vector<Timing> timings =
                 timeScenario(s, configs, opts.warmup, opts.repeat);
             m.on = timings[0];
-            if (off_idx >= 0)
-                m.off = timings[off_idx];
+            if (configs.size() > 1) {
+                m.interp = timings[1];
+                m.dcache = timings[2];
+            }
+            if (opts.compare_engine)
+                m.block = timings[3];
             m.compared = opts.compare_decode_cache;
             m.engine_compared = opts.compare_engine;
-            if (block_idx >= 0)
-                m.block = timings[block_idx];
             // The fast paths must not change what was simulated.
             for (const Timing &t : timings) {
                 if (t.result.guest_cycles != m.on.result.guest_cycles ||
@@ -449,7 +461,7 @@ main(int argc, char **argv)
                 std::printf("    engines: interpret %7.1f  "
                             "decode-cache %7.1f  block %7.1f MIPS "
                             "(best of repeats)\n",
-                            best_mips(m.off), best_mips(m.on),
+                            best_mips(m.interp), best_mips(m.dcache),
                             best_mips(m.block));
             }
             if (!m.metrics_file.empty())

@@ -14,7 +14,10 @@
  *     --iters=N                 lmbench iterations     [200]
  *     --pcu=16e|8e|8en          privilege caches       [8e]
  *     --block-engine[=N]        run hot blocks translated (host fast
- *                               path; N = hotness threshold)
+ *                               path, the default; N = hotness
+ *                               threshold)
+ *     --interpret               block engine off: the interpreter
+ *                               runs every instruction
  *     --timer=N                 timer interrupt period [0 = off]
  *     --tstacks                 per-thread trusted stacks
  *     --monitor-log             journal mapping changes (nested)
@@ -79,7 +82,7 @@ struct Options
     unsigned blocks = 24000;
     unsigned iters = 200;
     PcuConfig pcu = PcuConfig::config8E();
-    bool block_engine = false;
+    bool block_engine = MachineConfig{}.block_engine;
     std::uint32_t block_hot_threshold = BlockEngine::kDefaultHotThreshold;
     Cycle timer = 0;
     bool tstacks = false;
@@ -110,8 +113,8 @@ usage(const char *argv0)
                  "[--mode=native|decomposed|nested]\n"
                  "  [--workload=sqlite|mbedtls|gzip|tar|lmbench|attacks] "
                  "[--blocks=N] [--iters=N]\n"
-                 "  [--pcu=16e|8e|8en] [--block-engine[=N]] "
-                 "[--timer=N] [--tstacks] [--monitor-log]\n"
+                 "  [--pcu=16e|8e|8en] [--block-engine[=N]] [--interpret]\n"
+                 "  [--timer=N] [--tstacks] [--monitor-log]\n"
                  "  [--trace=FILE] [--trace-events=FILE] "
                  "[--trace-filter=KINDS]\n"
                  "  [--stats] [--stats-json=FILE]\n"
@@ -165,6 +168,8 @@ parse(int argc, char **argv)
                 std::numeric_limits<std::uint32_t>::max()));
         } else if (std::strcmp(argv[i], "--block-engine") == 0) {
             opt.block_engine = true;
+        } else if (std::strcmp(argv[i], "--interpret") == 0) {
+            opt.block_engine = false;
         } else if (eatOption(argv[i], "--timer", v)) {
             opt.timer = count(argv[0], v, usage);
         } else if (eatOption(argv[i], "--trace", v)) {
@@ -333,8 +338,8 @@ runAttackCorpus(const Options &opt, std::ofstream *events_os)
             PreparedAttack prepared =
                 prepareAttack(scenario, opt.x86, with_isagrid);
             Machine &m = *prepared.machine;
-            if (opt.block_engine)
-                m.core().setBlockEngine(opt.block_hot_threshold);
+            m.core().setBlockEngine(
+                opt.block_engine ? opt.block_hot_threshold : 0);
             if (sink) {
                 wireTrace(m, opt, *sink, next_core++);
                 emitDomainNames(*m.trace(), prepared.image);
