@@ -71,13 +71,6 @@ BlockEngine::blockPcs() const
     return pcs;
 }
 
-std::array<BlockEngine::TableSpan, 2>
-BlockEngine::tableSpans() const
-{
-    return {{{slots_.data(), slots_.size() * sizeof(Slot)},
-             {heat_.data(), heat_.size() * sizeof(HeatSlot)}}};
-}
-
 void
 BlockEngine::flushAll()
 {

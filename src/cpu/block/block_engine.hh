@@ -65,6 +65,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "isa/isa_model.hh"
@@ -221,13 +222,13 @@ class BlockEngine
         return (pc * 0x9E3779B97F4A7C15ull) >> (64 - kHeatBits);
     }
 
-    /** Host storage of one table (tests check its page residency). */
-    struct TableSpan
+    /** Host storage (start, bytes) of the lookup and heat tables. */
+    std::array<std::pair<const void *, std::size_t>, 2>
+    tableSpans() const
     {
-        const void *data = nullptr;
-        std::size_t bytes = 0;
-    };
-    std::array<TableSpan, 2> tableSpans() const;
+        return {{{slots_.data(), slots_.size() * sizeof(Slot)},
+                 {heat_.data(), heat_.size() * sizeof(HeatSlot)}}};
+    }
 
   private:
     /** A lookup-table entry; all zero is empty (tag ~pc, see file). */

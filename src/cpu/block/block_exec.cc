@@ -105,18 +105,26 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
             return true;
         }
 
+        // --- hoisted entry conditions (the careful path's stepOne
+        // checks every op itself) ---
+        if (!careful &&
+            ((archState.mode == PrivMode::User && b->any_privileged) ||
+             !pcu_.memoryAccessAllowed(b->start, b->byte_end - b->start))) {
+            ++eng.stats().fallbacks;
+            return true;
+        }
+        ++eng.stats().entries;
+        eng.stats().careful_entries += careful;
+        if (chained)
+            ++eng.stats().chained_entries;
+        ISAGRID_TRACE_EVENT(eventTrace, TraceKind::BlockEnter, b->start,
+                            b->ops.size(), chained ? 1 : 0);
+
         if (careful) {
-            // An event-trace buffer is attached: execute the block's
+            // A per-op event filter is attached: execute the block's
             // ops through the interpreter so the per-op event stream
             // (InstCheck, cache probes, ...) stays exact, but keep
             // the block bookkeeping (BlockEnter marks, residency).
-            ++eng.stats().entries;
-            ++eng.stats().careful_entries;
-            if (chained)
-                ++eng.stats().chained_entries;
-            ISAGRID_TRACE_EVENT(eventTrace, TraceKind::BlockEnter,
-                                b->start, b->ops.size(),
-                                chained ? 1 : 0);
             const std::size_t n = b->ops.size();
             for (std::size_t i = 0; i < n; ++i) {
                 if (archState.pc != b->ops[i].pc)
@@ -130,25 +138,11 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                     return false;
             }
         } else {
-            // --- hoisted entry conditions (hot mode) ---
-            if ((archState.mode == PrivMode::User && b->any_privileged) ||
-                !pcu_.memoryAccessAllowed(b->start,
-                                          b->byte_end - b->start)) {
-                ++eng.stats().fallbacks;
-                return true;
-            }
             // Domain-0 holds every privilege. Elsewhere, where the
             // memo cannot vouch for the block, its ops take the PCU's
             // own check until it can (see below).
             const bool domain0 = pcu_.currentDomain() == 0;
             bool exact = !domain0 && !memo_covers(*b);
-
-            ++eng.stats().entries;
-            if (chained)
-                ++eng.stats().chained_entries;
-            ISAGRID_TRACE_EVENT(eventTrace, TraceKind::BlockEnter,
-                                b->start, b->ops.size(),
-                                chained ? 1 : 0);
 
             // The timer only fires in user mode, and the mode cannot
             // change inside a block (no traps short of a fault, which
@@ -162,6 +156,12 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                 ++consumed;
                 ++eng.stats().translated_insts;
                 retireInst(retire, blk_start);
+            };
+            auto fault_out = [&](FaultType fault, Addr fpc, RegVal info,
+                                 RetireInfo &retire) {
+                bool keep = deliverFault(fault, fpc, info, retire, result);
+                retire_op(retire);
+                return keep;
             };
 
             const BlockOp *ops = b->ops.data();
@@ -184,14 +184,11 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                 // to block entry; the modeled accesses were not.
                 timeFetch(op.pc, retire);
 
-                if (!exact) [[likely]] {
+                if (!exact || (i != 0 && memo_covers(*b))) [[likely]] {
                     // The hoisted ISA-Grid instruction check: the
-                    // memo proved the outcome; account the check
-                    // exactly as checkInstruction() would have.
-                    pcu_.accountBlockCheck(domain0);
-                } else if (i != 0 && memo_covers(*b)) {
-                    // Op 0's check refilled the bypass register, and
-                    // it grants the rest of the block.
+                    // memo proved the outcome (after op 0 refilled
+                    // the bypass register, if it had to); account the
+                    // check exactly as checkInstruction() would have.
                     exact = false;
                     pcu_.accountBlockCheck(domain0);
                 } else {
@@ -202,13 +199,9 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                     CheckOutcome chk = pcu_.checkInstructionAt(
                         op.inst.type, op.pc, !isGateClass(op.inst.cls));
                     retire.pcu_stall += chk.stall;
-                    if (!chk.allowed) [[unlikely]] {
-                        bool keep = deliverFault(chk.fault, op.pc,
-                                                 op.inst.type, retire,
-                                                 result);
-                        retire_op(retire);
-                        return keep;
-                    }
+                    if (!chk.allowed) [[unlikely]]
+                        return fault_out(chk.fault, op.pc, op.inst.type,
+                                         retire);
                 }
 
                 if (isGateClass(op.inst.cls)) [[unlikely]] {
@@ -216,12 +209,9 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                     // interpreter's helper, then chain into the
                     // destination block, whose op 0 refills.
                     FaultType fault = commitGate(op.inst, op.pc, retire);
-                    bool keep = fault == FaultType::None ||
-                                deliverFault(fault, op.pc, 0, retire,
-                                             result);
-                    retire_op(retire);
                     if (fault != FaultType::None)
-                        return keep;
+                        return fault_out(fault, op.pc, 0, retire);
+                    retire_op(retire);
                     break;
                 }
 
@@ -237,12 +227,8 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                     fault = commitData(res, retire);
                     info = res.mem_addr;
                 }
-                if (fault != FaultType::None) [[unlikely]] {
-                    bool keep =
-                        deliverFault(fault, fpc, info, retire, result);
-                    retire_op(retire);
-                    return keep;
-                }
+                if (fault != FaultType::None) [[unlikely]]
+                    return fault_out(fault, fpc, info, retire);
                 // A store into this block's own bytes: finish the op,
                 // then exit so the next entry revalidates (exact SMC).
                 const bool self_smc = retire.is_store &&

@@ -792,9 +792,9 @@ TEST(BlockEngine, UnusedEngineTouchesNoTablePage)
         KernelBuilder(*m, kc).build(layout::userCodeBase);
         const BlockEngine *eng = m->core().blockEngine();
         ASSERT_NE(eng, nullptr);
-        for (const BlockEngine::TableSpan &t : eng->tableSpans()) {
-            ASSERT_GT(t.bytes, 0u);
-            EXPECT_EQ(residentPageCount(t.data, t.bytes), 0u);
+        for (auto [data, bytes] : eng->tableSpans()) {
+            ASSERT_GT(bytes, 0u);
+            EXPECT_EQ(residentPageCount(data, bytes), 0u);
         }
     }).join();
 }
