@@ -10,10 +10,14 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cli.hh"
 #include "cpu/machine.hh"
 #include "kernel/asm_iface.hh"
 #include "kernel/kernel_builder.hh"
@@ -70,6 +74,49 @@ struct Scenario
 
 /** Every registered scenario (defined in bench_scenarios.cc). */
 std::vector<Scenario> allScenarios();
+
+// ---------------------------------------------------------------------
+// Command line of the overhead benches
+// ---------------------------------------------------------------------
+
+/** `[--baseline=FILE] [--repeat=N] [--gate]` (parseOverheadArgs). */
+struct OverheadArgs
+{
+    std::string baseline_path; //!< committed BENCH_<group>.json
+    unsigned repeat = 3;       //!< timed repeats, at least 1
+    bool gate = false;         //!< a missed baseline fails the run
+};
+
+/**
+ * Parse the overhead benches' options through tools/cli.hh: an
+ * unknown option or a repeat count that is not a positive decimal is
+ * a usage error (exit 2).
+ */
+inline OverheadArgs
+parseOverheadArgs(int argc, char **argv, std::string baseline_path)
+{
+    UsageFn usage = [](const char *argv0) {
+        std::fprintf(stderr,
+                     "usage: %s [--baseline=FILE] [--repeat=N] [--gate]\n",
+                     argv0);
+    };
+    OverheadArgs args;
+    args.baseline_path = std::move(baseline_path);
+    std::string v;
+    for (int i = 1; i < argc; ++i) {
+        if (eatOption(argv[i], "--baseline", v)) {
+            args.baseline_path = v;
+        } else if (eatOption(argv[i], "--repeat", v)) {
+            args.repeat = countUnsigned(argv[0], v, usage, 1);
+        } else if (std::strcmp(argv[i], "--gate") == 0) {
+            args.gate = true;
+        } else {
+            usage(argv[0]);
+            std::exit(2);
+        }
+    }
+    return args;
+}
 
 // ---------------------------------------------------------------------
 // Table rendering / formatting

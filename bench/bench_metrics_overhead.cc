@@ -117,21 +117,8 @@ main(int argc, char **argv)
 #ifndef BENCH_BASELINE_DIR
 #define BENCH_BASELINE_DIR "."
 #endif
-    std::string baseline_path =
-        std::string(BENCH_BASELINE_DIR) + "/BENCH_fig5.json";
-    bool gate = false;
-    unsigned repeat = 3;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--baseline=", 11) == 0)
-            baseline_path = argv[i] + 11;
-        else if (std::strncmp(argv[i], "--repeat=", 9) == 0)
-            repeat = unsigned(std::stoul(argv[i] + 9));
-        else if (std::strcmp(argv[i], "--gate") == 0)
-            gate = true;
-        else
-            fatal("usage: %s [--baseline=FILE] [--repeat=N] [--gate]",
-                  argv[0]);
-    }
+    auto [baseline_path, repeat, gate] = parseOverheadArgs(
+        argc, argv, std::string(BENCH_BASELINE_DIR) + "/BENCH_fig5.json");
 
     heading("Metrics/profiler overhead (fig5 lmbench, decomposed 8E.)");
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Command-line parsing shared by the isagrid-* tools: `--key=value`
- * matching and checked decimal counts. Each tool prints its own usage
+ * Command-line parsing shared by the isagrid-* tools and the benches:
+ * `--key=value` matching, checked decimal counts and thresholds. Each tool prints its own usage
  * text; a malformed number is a usage error (exit 2), never an abort
  * or a silent wrap-around.
  */
@@ -10,6 +10,7 @@
 #define ISAGRID_TOOLS_CLI_HH_
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -53,6 +54,23 @@ count(const char *argv0, const std::string &v, UsageFn usage,
         std::exit(2);
     }
     return n;
+}
+
+/**
+ * A finite decimal number >= 0 (thresholds). Anything else (empty,
+ * negative, non-numeric, trailing junk, inf, nan) is a usage error.
+ */
+inline double
+nonNegative(const char *argv0, const std::string &v, UsageFn usage)
+{
+    double x = 0;
+    const char *end = v.data() + v.size();
+    auto [ptr, ec] = std::from_chars(v.data(), end, x);
+    if (ec != std::errc{} || ptr != end || !(x >= 0) || !std::isfinite(x)) {
+        usage(argv0);
+        std::exit(2);
+    }
+    return x;
 }
 
 /** count() for an unsigned option (depths, job and report counts). */

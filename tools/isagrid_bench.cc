@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "cli.hh"
 
 using namespace isagrid;
 using namespace isagrid::bench;
@@ -308,9 +309,9 @@ reportBaselineDeltas(const Options &opts,
 }
 
 void
-usage()
+usage(std::FILE *out)
 {
-    std::printf(
+    std::fprintf(out,
         "usage: isagrid_bench [options]\n"
         "  --jobs N              worker threads (default: cores)\n"
         "  --repeat R            timed runs per scenario (default 3)\n"
@@ -333,6 +334,13 @@ usage()
         "  --list                list scenarios and exit\n");
 }
 
+/** tools/cli.hh's usage printer for a malformed number. */
+void
+usageError(const char *)
+{
+    usage(stderr);
+}
+
 } // namespace
 
 int
@@ -342,16 +350,19 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", arg.c_str());
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+                usage(stderr);
+                std::exit(2);
+            }
             return argv[++i];
         };
         if (arg == "--jobs") {
-            opts.jobs = std::max(1, std::atoi(value()));
+            opts.jobs = countUnsigned(argv[0], value(), usageError, 1);
         } else if (arg == "--repeat") {
-            opts.repeat = std::max(1, std::atoi(value()));
+            opts.repeat = countUnsigned(argv[0], value(), usageError, 1);
         } else if (arg == "--warmup") {
-            opts.warmup = std::atoi(value());
+            opts.warmup = countUnsigned(argv[0], value(), usageError);
         } else if (arg == "--filter") {
             opts.filter = value();
         } else if (arg == "--out") {
@@ -365,15 +376,16 @@ main(int argc, char **argv)
         } else if (arg == "--compare-engine") {
             opts.compare_engine = true;
         } else if (arg == "--min-mips") {
-            opts.min_mips = std::atof(value());
+            opts.min_mips = nonNegative(argv[0], value(), usageError);
         } else if (arg == "--list") {
             opts.list_only = true;
         } else if (arg == "--help" || arg == "-h") {
-            usage();
+            usage(stdout);
             return 0;
         } else {
-            usage();
-            fatal("unknown option %s", arg.c_str());
+            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+            usage(stderr);
+            return 2;
         }
     }
 
@@ -475,7 +487,10 @@ main(int argc, char **argv)
                 scenarios.size(), opts.jobs, opts.warmup, opts.repeat);
     auto wall0 = std::chrono::steady_clock::now();
     std::vector<std::thread> pool;
-    for (unsigned j = 0; j < opts.jobs; ++j)
+    // No more workers than scenarios, however large --jobs is.
+    for (std::size_t j = 0; j < std::min<std::size_t>(opts.jobs,
+                                                      scenarios.size());
+         ++j)
         pool.emplace_back(worker);
     for (auto &t : pool)
         t.join();
