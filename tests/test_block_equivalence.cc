@@ -386,10 +386,10 @@ struct GateRun
  * domain-0 with no kernel (bench/bench_scenarios.cc, table4).
  */
 GateRun
-runPingPong(bool x86, bool block_on)
+runPingPong(bool x86, bool block_on, PcuConfig pcu)
 {
-    auto m = x86 ? Machine::gem5x86(blockConfig(block_on))
-                 : Machine::rocket(blockConfig(block_on));
+    auto m = x86 ? Machine::gem5x86(blockConfig(block_on, pcu))
+                 : Machine::rocket(blockConfig(block_on, pcu));
     DomainId d1 = m->domains().createBaselineDomain();
     DomainId d2 = m->domains().createBaselineDomain();
     auto ap = x86 ? makeX86Asm(layout::userCodeBase)
@@ -443,10 +443,10 @@ runPingPong(bool x86, bool block_on)
  * empty syscall and a hop back to d1 (perfbench/bench.cc, GatesX86).
  */
 GateRun
-runCallReturn(bool x86, bool block_on)
+runCallReturn(bool x86, bool block_on, PcuConfig pcu)
 {
-    auto m = x86 ? Machine::gem5x86(blockConfig(block_on))
-                 : Machine::rocket(blockConfig(block_on));
+    auto m = x86 ? Machine::gem5x86(blockConfig(block_on, pcu))
+                 : Machine::rocket(blockConfig(block_on, pcu));
     KernelConfig kc;
     kc.mode = KernelMode::Monolithic;
     KernelBuilder builder(*m, kc);
@@ -526,16 +526,22 @@ runCallReturn(bool x86, bool block_on)
 
 } // namespace
 
-class BlockGates : public ::testing::TestWithParam<std::tuple<bool, bool>>
+class BlockGates
+    : public ::testing::TestWithParam<std::tuple<bool, bool, bool>>
 {
 };
 
 TEST_P(BlockGates, OnOffBitIdentical)
 {
-    auto [x86, pingpong] = GetParam();
+    // 1-entry privilege caches make every bypass refill after a
+    // switch miss, so the refill's stall is part of what must match.
+    auto [x86, pingpong, one_entry] = GetParam();
+    PcuConfig pcu = PcuConfig::config8E();
+    if (one_entry)
+        pcu.hpt_cache_entries = pcu.sgt_cache_entries = 1;
     auto run = pingpong ? runPingPong : runCallReturn;
-    GateRun on = run(x86, true);
-    GateRun off = run(x86, false);
+    GateRun on = run(x86, true, pcu);
+    GateRun off = run(x86, false, pcu);
     ASSERT_EQ(off.result.reason, StopReason::Halted);
     EXPECT_EQ(off.result.halt_code, 0u);
     expectIdentical({on.result, on.stats}, {off.result, off.stats},
@@ -546,10 +552,12 @@ TEST_P(BlockGates, OnOffBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BlockGates,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Bool()),
     [](const auto &info) {
         return std::string(std::get<0>(info.param) ? "x86" : "riscv") +
-               (std::get<1>(info.param) ? "_pingpong" : "_callret");
+               (std::get<1>(info.param) ? "_pingpong" : "_callret") +
+               (std::get<2>(info.param) ? "_1E" : "");
     });
 
 // ---------------------------------------------------------------------
@@ -655,6 +663,111 @@ TEST(BlockMemoFlush, RevokeAndPublishFaultsAtExactPc)
         EXPECT_EQ(r.fault_pc, h->add_pc)
             << "fault must land on the revoked instruction itself";
     }
+}
+
+namespace {
+
+/**
+ * A loop in d1 calls into d2 through hccalls ten times; the callee
+ * block [addi, add, hcrets] runs hot, so with the engine on it is a
+ * translated block entered right after a switch.
+ */
+struct CallLoop
+{
+    std::unique_ptr<Machine> machine;
+    DomainId d1 = 0, d2 = 0;
+    Addr loop_pc = 0, callee_pc = 0, add_pc = 0, ret_pc = 0;
+};
+
+CallLoop
+runCallLoop(bool block_on)
+{
+    CallLoop c;
+    c.machine = Machine::rocket(blockConfig(block_on));
+    Machine &m = *c.machine;
+    auto &dm = m.domains();
+    c.d1 = dm.createBaselineDomain();
+    c.d2 = dm.createBaselineDomain();
+    riscv::RiscvAsm a(0x1000);
+    auto loop = a.newLabel(), callee = a.newLabel();
+    a.li(10, 0);
+    Addr entry_gate = a.here();
+    a.hccall(10);
+    a.bind(loop);
+    c.loop_pc = a.here();
+    a.li(10, 1);
+    Addr call_gate = a.here();
+    a.hccalls(10);
+    a.addi(5, 5, -1);
+    a.bne(5, 0, loop);
+    a.halt(7);
+    a.bind(callee);
+    c.callee_pc = a.here();
+    a.addi(6, 6, 1);
+    c.add_pc = a.here();
+    a.add(7, 7, 6);
+    c.ret_pc = a.here();
+    a.hcrets();
+    a.finalize();
+    dm.registerGate(entry_gate, a.labelAddr(loop), c.d1);
+    dm.registerGate(call_gate, a.labelAddr(callee), c.d2);
+    dm.publish();
+    a.loadInto(m.mem());
+    m.core().reset(0x1000);
+    m.core().state().setReg(5, 10);
+    RunResult r = m.core().run(10'000);
+    EXPECT_EQ(r.reason, StopReason::Halted);
+    EXPECT_EQ(r.halt_code, 55u); // 1 + 2 + ... + 10
+    return c;
+}
+
+} // namespace
+
+TEST(BlockMemoFlush, DeniedOpAfterARefillFaultsAtItsPc)
+{
+    // d2 loses add. After the next switch, op 0 of the callee block
+    // refills the bypass register and passes; the memo no longer
+    // covers the block, so op 1 takes its own check and faults there.
+    for (bool on : {true, false}) {
+        CallLoop c = runCallLoop(on);
+        Machine &m = *c.machine;
+        m.domains().revokeInstruction(c.d2, riscv::IT_ADD);
+        m.domains().publish();
+        m.core().reset(c.loop_pc);
+        m.core().state().setReg(5, 10);
+        m.pcu().setGridReg(GridReg::Domain, c.d1);
+        RunResult r = m.core().run(10'000);
+        EXPECT_EQ(r.reason, StopReason::UnhandledFault);
+        EXPECT_EQ(r.fault, FaultType::InstPrivilege);
+        EXPECT_EQ(r.fault_pc, c.add_pc) << (on ? "engine on" : "off");
+    }
+}
+
+TEST(BlockGateFault, HcretsOnAnEmptyStackFaultsAtItsPc)
+{
+    // Entering the translated callee block in d2 with nothing on the
+    // trusted stack: the block's closing hcrets faults, at its own pc,
+    // after the two ops before it retired.
+    RunResult runs[2];
+    for (bool on : {true, false}) {
+        CallLoop c = runCallLoop(on);
+        Machine &m = *c.machine;
+        const BlockEngine *eng = m.core().blockEngine();
+        std::uint64_t entries = on ? eng->stats().entries : 0;
+        m.core().reset(c.callee_pc);
+        m.pcu().setGridReg(GridReg::Domain, c.d2);
+        runs[on] = m.core().run(10'000);
+        EXPECT_EQ(runs[on].reason, StopReason::UnhandledFault);
+        EXPECT_NE(runs[on].fault, FaultType::None);
+        EXPECT_EQ(runs[on].fault_pc, c.ret_pc) << (on ? "engine on" : "off");
+        EXPECT_EQ(runs[on].instructions, 3u);
+        if (on) {
+            EXPECT_EQ(eng->stats().entries, entries + 1)
+                << "the callee must run as a translated block";
+        }
+    }
+    EXPECT_EQ(runs[0].fault, runs[1].fault);
+    EXPECT_EQ(runs[0].cycles, runs[1].cycles);
 }
 
 // ---------------------------------------------------------------------
