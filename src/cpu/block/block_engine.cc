@@ -44,10 +44,11 @@ BlockEngine::heat(Addr pc)
 {
     std::size_t i = heatIndex(pc);
     HeatSlot &h = heat_[i];
-    if (h.tag != ~pc) {
+    if (h.tag != ~pc || pc == ~Addr{0}) {
         // Collisions just replace the counter: a displaced pc only
         // re-earns its heat, delaying (never preventing) translation.
-        // Only a new tag can be a slot's first write.
+        // Only a new tag can be a slot's first write; pc ~0, whose tag
+        // reads as empty, never counts (it lies past any memory).
         heat_.markWritten(i);
         h.tag = ~pc;
         h.count = 1;

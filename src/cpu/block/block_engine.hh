@@ -206,7 +206,7 @@ class BlockEngine
     HostStats &stats() { return stats_; }
     const HostStats &stats() const { return stats_; }
 
-    /** Entries of the lookup table and of the heat table. */
+    /** log2 of the lookup table's and the heat table's entries. */
     static constexpr unsigned kSlotBits = 13; // 8192 entries
     static constexpr unsigned kHeatBits = 13;
 

@@ -32,6 +32,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 #include <string>
@@ -912,6 +913,20 @@ TEST(BlockEngine, UnusedEngineTouchesNoTablePage)
     }).join();
 }
 
+namespace {
+
+void
+expectZeroTables(const BlockEngine &eng)
+{
+    for (auto [data, bytes] : eng.tableSpans()) {
+        const auto *p = static_cast<const unsigned char *>(data);
+        EXPECT_EQ(std::count(p, p + bytes, 0), std::ptrdiff_t(bytes))
+            << "a recycled table holds a nonzero byte";
+    }
+}
+
+} // namespace
+
 TEST(BlockEngine, RecycledTablesStartEmpty)
 {
     std::thread([] {
@@ -938,7 +953,15 @@ TEST(BlockEngine, RecycledTablesStartEmpty)
 
         auto m = Machine::rocket(blockConfig(false));
         CoreBase &core = m->core();
+        // pc ~0 lies past any memory, and its tag reads as an empty
+        // slot's: heating it must still leave nothing behind.
         core.setBlockEngine(kHot);
+        for (int i = 0; i < 4; ++i)
+            core.blockEngine()->heat(~Addr{0});
+        core.setBlockEngine(0);
+        core.setBlockEngine(kHot);
+        expectZeroTables(*core.blockEngine());
+
         BlockEngine *used = core.blockEngine();
         // One heat short of translation everywhere, then translate as
         // many as fit (guest memory is zero, so each block is dead,
@@ -952,6 +975,7 @@ TEST(BlockEngine, RecycledTablesStartEmpty)
         ASSERT_GT(used->numBlocks(), BlockEngine::kMaxBlocks / 2);
         core.setBlockEngine(0); // recycles both tables
         core.setBlockEngine(kHot);
+        expectZeroTables(*core.blockEngine());
 
         BlockEngine &eng = *core.blockEngine();
         for (Addr pc : pcs) {
