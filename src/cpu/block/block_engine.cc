@@ -35,8 +35,8 @@ BlockEngine::findCold(Addr pc)
     auto it = blocks_.find(pc);
     if (it == blocks_.end())
         return nullptr;
-    setSlot(pc, it->second.get());
-    return it->second.get();
+    setSlot(pc, &it->second);
+    return &it->second;
 }
 
 TransBlock *
@@ -66,7 +66,7 @@ BlockEngine::blockPcs() const
     std::vector<Addr> pcs;
     pcs.reserve(blocks_.size());
     for (const auto &[pc, b] : blocks_)
-        if (!b->dead)
+        if (!b.dead)
             pcs.push_back(pc);
     std::sort(pcs.begin(), pcs.end());
     return pcs;
@@ -82,7 +82,10 @@ BlockEngine::flushAll()
     // own slots empties the table without touching its other pages.
     for (const auto &[pc, b] : blocks_)
         slots_[slotIndex(pc)] = Slot{};
-    blocks_.clear();
+    // An empty map holds no arena memory, so once the old one is
+    // gone the arena can go back whole.
+    decltype(blocks_)(&arena_).swap(blocks_);
+    arena_.release();
 }
 
 bool
@@ -114,16 +117,17 @@ BlockEngine::eligible(const DecodedInst &inst) const
 void
 BlockEngine::translateInto(TransBlock &b)
 {
-    b.ops.clear();
-    b.bytes.clear();
-    b.line_gens.clear();
+    // Decode into a scratch list, so the block's own arrays are sized
+    // once (the arena never reuses what a grown vector drops).
+    std::vector<BlockOp> &ops = scratch_;
+    ops.clear();
     b.need_words.assign(pcu_.layout().numInstGroups(), 0);
     b.memo_epoch = 0;
     b.any_privileged = false;
 
     const std::size_t max_inst = isa_.maxInstBytes();
     Addr pc = b.start;
-    while (b.ops.size() < kMaxOps && pc - b.start < kMaxBytes) {
+    while (ops.size() < kMaxOps && pc - b.start < kMaxBytes) {
         if (pc >= mem.size())
             break;
         std::uint8_t buf[16] = {};
@@ -140,11 +144,12 @@ BlockEngine::translateInto(TransBlock &b)
                           inst.cls == InstClass::Jump ||
                           isGateClass(inst.cls);
         pc += inst.length;
-        b.ops.push_back(BlockOp{pc - inst.length, std::move(inst)});
+        ops.push_back(BlockOp{pc - inst.length, std::move(inst)});
         if (terminator)
             break;
     }
     b.byte_end = pc;
+    b.ops.assign(ops.begin(), ops.end());
     if (b.ops.empty()) {
         b.dead = true;
         ++stats_.dead_blocks;
@@ -152,8 +157,9 @@ BlockEngine::translateInto(TransBlock &b)
     }
     b.bytes.resize(b.byte_end - b.start);
     mem.readBlock(b.start, b.bytes.data(), b.bytes.size());
-    for (Addr line = b.firstLine(); line < b.byte_end; line += 64)
-        b.line_gens.push_back(mem.lineGen(line));
+    b.line_gens.resize((b.byte_end - b.firstLine() + 63) / 64);
+    for (std::size_t i = 0; i < b.line_gens.size(); ++i)
+        b.line_gens[i] = mem.lineGen(b.firstLine() + 64 * i);
 }
 
 TransBlock *
@@ -163,15 +169,13 @@ BlockEngine::translate(Addr pc)
         ++stats_.flushes;
         flushAll();
     }
-    auto block = std::make_unique<TransBlock>();
-    block->start = pc;
-    translateInto(*block);
-    if (!block->dead)
+    TransBlock &b = blocks_.try_emplace(pc).first->second;
+    b.start = pc;
+    translateInto(b);
+    if (!b.dead)
         ++stats_.translations;
-    TransBlock *raw = block.get();
-    blocks_.emplace(pc, std::move(block));
-    setSlot(pc, raw);
-    return raw;
+    setSlot(pc, &b);
+    return &b;
 }
 
 BlockEngine::Revalidation
@@ -193,7 +197,7 @@ BlockEngine::revalidate(TransBlock &b)
     // and keep the translation) from a real code patch.
     std::vector<std::uint8_t> now(b.bytes.size());
     mem.readBlock(b.start, now.data(), now.size());
-    if (now == b.bytes) {
+    if (std::equal(now.begin(), now.end(), b.bytes.begin(), b.bytes.end())) {
         line = b.firstLine();
         for (std::size_t i = 0; i < b.line_gens.size(); ++i, line += 64)
             b.line_gens[i] = mem.lineGen(line);

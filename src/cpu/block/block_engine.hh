@@ -63,7 +63,7 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <memory_resource>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -85,6 +85,14 @@ struct BlockOp
 /** A translated basic block (straight-line ops, one terminator). */
 struct TransBlock
 {
+    /** Its storage comes from the engine's arena (BlockEngine). */
+    using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
+
+    explicit TransBlock(const allocator_type &alloc)
+        : ops(alloc), bytes(alloc), line_gens(alloc), need_words(alloc)
+    {
+    }
+
     Addr start = 0;    //!< entry pc
     Addr byte_end = 0; //!< one past the last translated byte
     /** Any op fails the classical check in user mode. */
@@ -92,13 +100,13 @@ struct TransBlock
     /** Blacklisted: untranslatable entry or pathological SMC. */
     bool dead = false;
     std::uint32_t invalidations = 0; //!< real code patches observed
-    std::vector<BlockOp> ops;
+    std::pmr::vector<BlockOp> ops;
     /** Byte snapshot of [start, byte_end) for SMC revalidation. */
-    std::vector<std::uint8_t> bytes;
+    std::pmr::vector<std::uint8_t> bytes;
     /** Write generation of each covered 64B line at translation. */
-    std::vector<std::uint64_t> line_gens;
+    std::pmr::vector<std::uint64_t> line_gens;
     /** Needed instruction-bitmap bits, one word per HPT inst group. */
-    std::vector<std::uint64_t> need_words;
+    std::pmr::vector<std::uint64_t> need_words;
     /**
      * PCU bypass epoch the check-memo was last validated against;
      * 0 = never (the PCU's first refill produces epoch 1).
@@ -257,7 +265,16 @@ class BlockEngine
     const PrivilegeCheckUnit &pcu_;
     std::uint32_t hotThreshold_;
 
-    std::unordered_map<Addr, std::unique_ptr<TransBlock>> blocks_;
+    /**
+     * Every translation lives in one arena, released whole by
+     * flushAll() and the destructor: the host heap sees a few large
+     * buffers instead of several small chunks per block, which, freed
+     * when the engine went, slowed the next machine's set-up
+     * (docs/performance.md).
+     */
+    std::pmr::monotonic_buffer_resource arena_;
+    std::pmr::unordered_map<Addr, TransBlock> blocks_{&arena_};
+    std::vector<BlockOp> scratch_; //!< translateInto()'s decode list
     ZeroPages<Slot> slots_;
     ZeroPages<HeatSlot> heat_;
     HostStats stats_;

@@ -986,3 +986,22 @@ TEST(BlockEngine, RecycledTablesStartEmpty)
         EXPECT_EQ(eng.numBlocks(), 0u);
     }).join();
 }
+
+TEST(BlockEngine, CapacityFlushStartsOver)
+{
+    // Past kMaxBlocks translations the engine drops every block and
+    // hands its arena back; lookups then miss and translation goes on.
+    auto m = Machine::rocket(blockConfig(false));
+    m->core().setBlockEngine(1);
+    BlockEngine &eng = *m->core().blockEngine();
+    const Addr n = BlockEngine::kMaxBlocks + 8;
+    for (Addr i = 0; i < n; ++i) {
+        eng.heat(4 * i); // the first execution only starts the count
+        ASSERT_NE(eng.heat(4 * i), nullptr); // dead: memory is zero
+    }
+    EXPECT_EQ(eng.stats().flushes, 1u);
+    EXPECT_EQ(eng.numBlocks(), 8u);
+    EXPECT_EQ(eng.find(0), nullptr);
+    ASSERT_NE(eng.find(4 * (n - 1)), nullptr);
+    EXPECT_TRUE(eng.find(4 * (n - 1))->dead);
+}
