@@ -26,15 +26,10 @@
  *    register stale in hardware and interpreter alike, and the memo
  *    inherits exactly that staleness: translated and interpreted
  *    execution observe identical check outcomes. Where the memo
- *    cannot vouch for a block (the register is invalid after a
- *    switch, disabled, or denies a needed bit, or the legal-
- *    instruction cache is on) the block runs its ops with the PCU's
- *    real per-op check: op 0 then refills the register with exactly
- *    the interpreter's stall, counters and fault, and the memo is
- *    re-validated before op 1;
- *  - the gates (`hccall`, `hccalls`, `hcrets`) end a block and commit
- *    through the core's gate helper, so execution chains across a
- *    domain switch into the destination block, whose op 0 refills.
+ *    cannot vouch for a block, its ops take the PCU's own check
+ *    until it can: after a switch op 0 refills the register exactly
+ *    as the interpreter would (see block_exec.cc);
+ *  - the gates end a block, so execution chains across a switch.
  *
  * Translated blocks are invalidated *exactly* under self-modifying
  * code via the per-64B-line write generations PhysMem already keeps
@@ -169,9 +164,6 @@ class BlockEngine
     /** Hands the tables back for the next engine (zero_pages.hh). */
     ~BlockEngine();
 
-    BlockEngine(const BlockEngine &) = delete;
-    BlockEngine &operator=(const BlockEngine &) = delete;
-
     /** Look up a translation at @p pc; never translates. */
     TransBlock *
     find(Addr pc)
@@ -266,11 +258,9 @@ class BlockEngine
     std::uint32_t hotThreshold_;
 
     /**
-     * Every translation lives in one arena, released whole by
-     * flushAll() and the destructor: the host heap sees a few large
-     * buffers instead of several small chunks per block, which, freed
-     * when the engine went, slowed the next machine's set-up
-     * (docs/performance.md).
+     * Every translation lives in one arena, released whole: freeing
+     * several small heap chunks per block slowed the next machine's
+     * set-up (docs/performance.md).
      */
     std::pmr::monotonic_buffer_resource arena_;
     std::pmr::unordered_map<Addr, TransBlock> blocks_{&arena_};

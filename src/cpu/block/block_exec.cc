@@ -69,10 +69,9 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
     TransBlock *b = &block;
     bool chained = false;
 
-    // The check-memo (block_engine.hh): does the bypass register, as
-    // refilled under its current epoch, grant every bit @p blk needs?
-    // The legal-instruction cache decides per (domain, pc), so with
-    // it on every op takes the PCU's own check.
+    // The check-memo (block_engine.hh). The legal-instruction cache
+    // decides per (domain, pc), so with it on every op takes the
+    // PCU's own check.
     const bool legal_cache = pcu_.config().legal_cache_entries != 0;
     auto memo_covers = [&](TransBlock &blk) {
         if (legal_cache || !pcu_.bypassReady())
@@ -192,10 +191,9 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                     exact = false;
                     pcu_.accountBlockCheck(domain0);
                 } else {
-                    // The interpreter's own check: after a switch it
-                    // refills the bypass register with exactly the
-                    // interpreter's stall and counters, and a denied
-                    // op faults where the interpreter would.
+                    // The interpreter's own check: it refills the
+                    // bypass register after a switch, and a denied op
+                    // faults where the interpreter would.
                     CheckOutcome chk = pcu_.checkInstructionAt(
                         op.inst.type, op.pc, !isGateClass(op.inst.cls));
                     retire.pcu_stall += chk.stall;
@@ -205,9 +203,8 @@ CoreBase::execBlock(TransBlock &block, RunResult &result,
                 }
 
                 if (isGateClass(op.inst.cls)) [[unlikely]] {
-                    // A gate ends its block: switch through the
-                    // interpreter's helper, then chain into the
-                    // destination block, whose op 0 refills.
+                    // A gate ends its block; chain into the
+                    // destination, whose op 0 refills.
                     FaultType fault = commitGate(op.inst, op.pc, retire);
                     if (fault != FaultType::None)
                         return fault_out(fault, op.pc, 0, retire);

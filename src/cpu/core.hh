@@ -469,10 +469,8 @@ class CoreBase
     }
 
     /**
-     * A gate instruction (hccall, hccalls, hcrets) after its
-     * instruction check: the switch, its stall, and on success the
-     * jump to the destination. Returns the fault to deliver (with 0
-     * as info), or FaultType::None.
+     * A checked gate (hccall, hccalls, hcrets): the switch, its stall
+     * and the jump. Returns the fault to deliver, or FaultType::None.
      */
     FaultType
     commitGate(const DecodedInst &inst, Addr pc, RetireInfo &retire)
