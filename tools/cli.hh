@@ -1,9 +1,9 @@
 /**
  * @file
  * Command-line parsing shared by the isagrid-* tools and the benches:
- * `--key=value` matching, checked decimal counts and thresholds. Each tool prints its own usage
- * text; a malformed number is a usage error (exit 2), never an abort
- * or a silent wrap-around.
+ * `--key=value` matching, checked decimal counts and thresholds. Each
+ * tool prints its own usage text; a malformed number is a usage error
+ * (exit 2), never an abort or a silent wrap-around.
  */
 
 #ifndef ISAGRID_TOOLS_CLI_HH_
