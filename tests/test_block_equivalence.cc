@@ -381,6 +381,50 @@ struct GateRun
     DomainId domain = 0;
 };
 
+/** A program's gate sites: each loads its own id and traverses. */
+struct GateSites
+{
+    Machine &m;
+    AsmIface &a;
+    struct Site
+    {
+        Addr pc;
+        AsmIface::Label dest;
+        DomainId domain;
+    };
+    std::vector<Site> sites;
+
+    void
+    add(bool extended, AsmIface::Label dest, DomainId domain)
+    {
+        a.li(a.regGate(), m.domains().numGates() + sites.size());
+        sites.push_back({a.here(), dest, domain});
+        if (extended)
+            a.hccalls(a.regGate());
+        else
+            a.hccall(a.regGate());
+    }
+
+    /** Load the program and register the sites, in id order. */
+    void
+    publish()
+    {
+        a.loadInto(m.mem());
+        for (const Site &site : sites)
+            m.domains().registerGate(site.pc, a.labelAddr(site.dest),
+                                     site.domain);
+        m.domains().publish();
+    }
+};
+
+GateRun
+gateRun(Machine &m, const RunResult &r)
+{
+    std::ostringstream os;
+    m.dumpStats(os);
+    return {r, os.str(), m.pcu().currentDomain()};
+}
+
 /**
  * Table 4's hccall row: one-way hccalls alternating between two
  * baseline domains, 16 gate sites per loop pass, run from reset in
@@ -396,20 +440,11 @@ runPingPong(bool x86, bool block_on, PcuConfig pcu)
     auto ap = x86 ? makeX86Asm(layout::userCodeBase)
                   : makeRiscvAsm(layout::userCodeBase);
     AsmIface &a = *ap;
-    struct Site
-    {
-        Addr pc;
-        AsmIface::Label dest;
-        DomainId domain;
-    };
-    std::vector<Site> sites;
+    GateSites gates{*m, a, {}};
     auto site = [&](DomainId dest_domain) {
-        a.li(a.regGate(), m->domains().numGates() + sites.size());
-        Addr pc = a.here();
         auto dest = a.newLabel();
-        a.hccall(a.regGate());
+        gates.add(false, dest, dest_domain);
         a.bind(dest);
-        sites.push_back({pc, dest, dest_domain});
     };
     unsigned u0 = a.regUser(0);
     a.li(a.regSp(), layout::userStackTop);
@@ -422,19 +457,9 @@ runPingPong(bool x86, bool block_on, PcuConfig pcu)
     a.loopDec(u0, loop);
     a.li(a.regArg(0), 0);
     a.halt(a.regArg(0));
-    a.loadInto(m->mem());
-    for (const Site &s : sites)
-        m->domains().registerGate(s.pc, a.labelAddr(s.dest), s.domain);
-    m->domains().publish();
+    gates.publish();
     m->core().reset(layout::userCodeBase);
-
-    GateRun out;
-    out.result = m->core().run(1'000'000);
-    std::ostringstream os;
-    m->dumpStats(os);
-    out.stats = os.str();
-    out.domain = m->pcu().currentDomain();
-    return out;
+    return gateRun(*m, m->core().run(1'000'000));
 }
 
 /**
@@ -459,33 +484,18 @@ runCallReturn(bool x86, bool block_on, PcuConfig pcu)
     auto ap = x86 ? makeX86Asm(layout::userCodeBase)
                   : makeRiscvAsm(layout::userCodeBase);
     AsmIface &a = *ap;
-    struct Site
-    {
-        Addr pc;
-        AsmIface::Label dest;
-        DomainId domain;
-    };
-    std::vector<Site> sites;
+    GateSites gates{*m, a, {}};
     std::array<AsmIface::Label, 4> callee{};
     for (auto &l : callee)
         l = a.newLabel();
-    auto gate = [&](bool extended, AsmIface::Label dest, unsigned s) {
-        a.li(a.regGate(), m->domains().numGates() + sites.size());
-        Addr pc = a.here();
-        if (extended)
-            a.hccalls(a.regGate());
-        else
-            a.hccall(a.regGate());
-        sites.push_back({pc, dest, slot[s]});
-    };
     auto hop = [&](unsigned s) {
         auto next = a.newLabel();
-        gate(false, next, s);
+        gates.add(false, next, slot[s]);
         a.bind(next);
     };
     auto pairs = [&] {
         for (unsigned s = 0; s < 4; ++s)
-            gate(true, callee[2 + s % 2], 2 + s % 2);
+            gates.add(true, callee[2 + s % 2], slot[2 + s % 2]);
     };
     unsigned u0 = a.regUser(0), u1 = a.regUser(1);
     a.li(a.regSp(), layout::userStackTop);
@@ -511,18 +521,8 @@ runCallReturn(bool x86, bool block_on, PcuConfig pcu)
         a.bind(callee[s]);
         a.hcrets();
     }
-    a.loadInto(m->mem());
-    for (const Site &s : sites)
-        m->domains().registerGate(s.pc, a.labelAddr(s.dest), s.domain);
-    m->domains().publish();
-
-    GateRun out;
-    out.result = m->run(boot_pc, 1'000'000);
-    std::ostringstream os;
-    m->dumpStats(os);
-    out.stats = os.str();
-    out.domain = m->pcu().currentDomain();
-    return out;
+    gates.publish();
+    return gateRun(*m, m->run(boot_pc, 1'000'000));
 }
 
 } // namespace
