@@ -4,16 +4,21 @@
 
 namespace isagrid {
 
+O3Timing::O3Timing(const O3Params &params)
+    : params_(params), bimodal(params.btb_entries, 1),
+      btb(params.btb_entries, ~Addr{0})
+{
+}
+
 O3Core::O3Core(const IsaModel &isa, PhysMem &mem, PrivilegeCheckUnit &pcu,
                CacheHierarchy *icache, CacheHierarchy *dcache,
                const O3Params &params)
-    : CoreBase(isa, mem, pcu, icache, dcache), params(params),
-      bimodal(params.btb_entries, 1), btb(params.btb_entries, ~Addr{0})
+    : CoreBase(isa, mem, pcu, icache, dcache), timing(params)
 {
 }
 
 bool
-O3Core::predictAndTrain(Addr pc, bool taken)
+O3Timing::predictAndTrain(Addr pc, bool taken)
 {
     std::size_t index = (pc >> 1) % bimodal.size();
     bool target_known = btb[index] == pc;
@@ -31,10 +36,10 @@ O3Core::predictAndTrain(Addr pc, bool taken)
 }
 
 Cycle
-O3Core::timeInstruction(const RetireInfo &info)
+O3Timing::retire(const RetireInfo &info)
 {
     // --- dispatch bandwidth ---
-    if (++slotInCycle >= params.width) {
+    if (++slotInCycle >= params_.width) {
         slotInCycle = 0;
         ++frontier;
     }
@@ -50,7 +55,7 @@ O3Core::timeInstruction(const RetireInfo &info)
     // --- ROB occupancy ---
     while (!rob.empty() && rob.front() <= dispatch)
         rob.pop_front();
-    if (rob.size() >= params.rob_entries) {
+    if (rob.size() >= params_.rob_entries) {
         dispatch = std::max(dispatch, rob.front());
         while (!rob.empty() && rob.front() <= dispatch)
             rob.pop_front();
@@ -82,7 +87,7 @@ O3Core::timeInstruction(const RetireInfo &info)
             }
         }
         if (!forwarded)
-            latency = params.load_to_use + info.dcache_extra;
+            latency = params_.load_to_use + info.dcache_extra;
     } else if (info.is_store) {
         latency = 1; // retires through the store buffer
     }
@@ -91,7 +96,7 @@ O3Core::timeInstruction(const RetireInfo &info)
 
     if (info.is_store) {
         storeBuffer.emplace_back(info.mem_addr, complete);
-        if (storeBuffer.size() > params.store_buffer)
+        if (storeBuffer.size() > params_.store_buffer)
             storeBuffer.pop_front();
     }
     if (info.inst && !info.is_store)
@@ -102,7 +107,7 @@ O3Core::timeInstruction(const RetireInfo &info)
     if (info.cls == InstClass::Branch || info.cls == InstClass::Jump) {
         bool correct = predictAndTrain(info.pc, info.taken_branch);
         if (!correct) {
-            frontier = complete + params.mispredict_penalty;
+            frontier = complete + params_.mispredict_penalty;
             slotInCycle = 0;
         }
     }
@@ -112,7 +117,7 @@ O3Core::timeInstruction(const RetireInfo &info)
         Cycle drain = complete;
         for (Cycle c : rob)
             drain = std::max(drain, c);
-        frontier = drain + params.serialize_penalty;
+        frontier = drain + params_.serialize_penalty;
         slotInCycle = 0;
         rob.clear();
         storeBuffer.clear();
@@ -123,15 +128,15 @@ O3Core::timeInstruction(const RetireInfo &info)
         Cycle drain = complete;
         for (Cycle c : rob)
             drain = std::max(drain, c);
-        frontier = drain + params.trap_penalty;
+        frontier = drain + params_.trap_penalty;
         slotInCycle = 0;
         rob.clear();
         storeBuffer.clear();
     }
 
     // --- retire bandwidth: commit width per cycle ---
-    retireSlot = std::max(retireSlot + 1, complete * params.width);
-    Cycle total = retireSlot / params.width;
+    retireSlot = std::max(retireSlot + 1, complete * params_.width);
+    Cycle total = retireSlot / params_.width;
     Cycle delta = total - lastTotal;
     lastTotal = total;
     return delta;

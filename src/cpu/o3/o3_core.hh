@@ -20,7 +20,7 @@
 
 #include <array>
 #include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "cpu/core.hh"
 
@@ -45,23 +45,27 @@ struct O3Params
     unsigned store_buffer = 32;    //!< forwarding window
 };
 
-/** gem5-O3-class out-of-order core (see file comment). */
-class O3Core : public CoreBase
+/**
+ * The O3 window model on its own (see file comment): retire() is
+ * called once per retired instruction and returns the cycles it adds.
+ * O3Core delegates its timeInstruction() here; tests drive it directly
+ * with synthetic RetireInfo streams.
+ */
+class O3Timing
 {
   public:
-    O3Core(const IsaModel &isa, PhysMem &mem, PrivilegeCheckUnit &pcu,
-           CacheHierarchy *icache, CacheHierarchy *dcache,
-           const O3Params &params = O3Params{});
+    explicit O3Timing(const O3Params &params);
 
-  protected:
-    Cycle timeInstruction(const RetireInfo &info) override;
-    Cycle trapPenalty() const override { return params.trap_penalty; }
+    /** Account one retired instruction; returns the cycles it adds. */
+    Cycle retire(const RetireInfo &info);
+
+    const O3Params &params() const { return params_; }
 
   private:
     /** Predict a conditional branch at @p pc; update with @p taken. */
     bool predictAndTrain(Addr pc, bool taken);
 
-    O3Params params;
+    O3Params params_;
 
     // Dataflow state (absolute cycle timestamps).
     Cycle frontier = 0;      //!< dispatch time of the next instruction
@@ -74,6 +78,31 @@ class O3Core : public CoreBase
 
     Cycle retireSlot = 0; //!< in 1/width cycle units
     Cycle lastTotal = 0;  //!< cycles reported so far
+};
+
+/** gem5-O3-class out-of-order core (see file comment). */
+class O3Core : public CoreBase
+{
+  public:
+    O3Core(const IsaModel &isa, PhysMem &mem, PrivilegeCheckUnit &pcu,
+           CacheHierarchy *icache, CacheHierarchy *dcache,
+           const O3Params &params = O3Params{});
+
+  protected:
+    Cycle
+    timeInstruction(const RetireInfo &info) override
+    {
+        return timing.retire(info);
+    }
+
+    Cycle
+    trapPenalty() const override
+    {
+        return timing.params().trap_penalty;
+    }
+
+  private:
+    O3Timing timing;
 };
 
 } // namespace isagrid

@@ -7,17 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "cpu/machine.hh"
+#include "cpu/o3/o3_core.hh"
 #include "cpu/text_trace.hh"
 #include "isa/riscv/assembler.hh"
 #include "isa/riscv/opcodes.hh"
 #include "isa/x86/assembler.hh"
 #include "isa/x86/opcodes.hh"
 #include "kernel/layout.hh"
+#include "sim/random.hh"
 
 using namespace isagrid;
 
@@ -689,4 +694,226 @@ TEST(CoreO3, AlternatingBranchMispredicts)
     });
     EXPECT_GT(double(ra.cycles) / double(ra.instructions),
               double(rs.cycles) / double(rs.instructions));
+}
+
+// ---------------------------------------------------------------------
+// The O3 window model against a straightforward reference
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The O3 window model as first written: std::deque ROB and store
+ * buffer, a full ROB walk to find the drain point of a serializing
+ * instruction, and the retire slot kept in 1/width cycle units. Any
+ * faster O3Timing must reproduce its per-instruction deltas exactly.
+ */
+class DequeO3Reference
+{
+  public:
+    explicit DequeO3Reference(const O3Params &params)
+        : params(params), bimodal(params.btb_entries, 1),
+          btb(params.btb_entries, ~Addr{0})
+    {
+    }
+
+    Cycle
+    retire(const RetireInfo &info)
+    {
+        if (++slotInCycle >= params.width) {
+            slotInCycle = 0;
+            ++frontier;
+        }
+        Cycle dispatch = frontier;
+        if (info.icache_extra) {
+            frontier += info.icache_extra;
+            dispatch = frontier;
+            slotInCycle = 0;
+        }
+        while (!rob.empty() && rob.front() <= dispatch)
+            rob.pop_front();
+        if (rob.size() >= params.rob_entries) {
+            dispatch = std::max(dispatch, rob.front());
+            while (!rob.empty() && rob.front() <= dispatch)
+                rob.pop_front();
+            frontier = std::max(frontier, dispatch);
+        }
+        Cycle ready = dispatch;
+        if (info.inst) {
+            ready = std::max({ready, regReady[info.inst->rs1],
+                              regReady[info.inst->rs2]});
+        }
+        Cycle issue = ready + info.pcu_stall;
+        Cycle latency = info.inst ? info.inst->exec_latency : 1;
+        if (info.is_load) {
+            bool forwarded = false;
+            for (const auto &[addr, avail_cycle] : storeBuffer) {
+                if (addr == info.mem_addr) {
+                    latency = 1;
+                    issue = std::max(issue, avail_cycle);
+                    forwarded = true;
+                    break;
+                }
+            }
+            if (!forwarded)
+                latency = params.load_to_use + info.dcache_extra;
+        } else if (info.is_store) {
+            latency = 1;
+        }
+        Cycle complete = issue + latency;
+        if (info.is_store) {
+            storeBuffer.emplace_back(info.mem_addr, complete);
+            if (storeBuffer.size() > params.store_buffer)
+                storeBuffer.pop_front();
+        }
+        if (info.inst && !info.is_store)
+            regReady[info.inst->rd] = complete;
+        rob.push_back(complete);
+        if (info.cls == InstClass::Branch || info.cls == InstClass::Jump) {
+            if (!predictAndTrain(info.pc, info.taken_branch)) {
+                frontier = complete + params.mispredict_penalty;
+                slotInCycle = 0;
+            }
+        }
+        if (info.serializing)
+            drain(complete, params.serialize_penalty);
+        if (info.trap)
+            drain(complete, params.trap_penalty);
+        retireSlot = std::max(retireSlot + 1, complete * params.width);
+        Cycle total = retireSlot / params.width;
+        Cycle delta = total - lastTotal;
+        lastTotal = total;
+        return delta;
+    }
+
+  private:
+    void
+    drain(Cycle complete, Cycle penalty)
+    {
+        Cycle last = complete;
+        for (Cycle c : rob)
+            last = std::max(last, c);
+        frontier = last + penalty;
+        slotInCycle = 0;
+        rob.clear();
+        storeBuffer.clear();
+    }
+
+    bool
+    predictAndTrain(Addr pc, bool taken)
+    {
+        std::size_t index = (pc >> 1) % bimodal.size();
+        bool target_known = btb[index] == pc;
+        bool predicted_taken = bimodal[index] >= 2;
+        bool correct = (predicted_taken == taken) && (!taken || target_known);
+        if (taken) {
+            if (bimodal[index] < 3)
+                ++bimodal[index];
+            btb[index] = pc;
+        } else if (bimodal[index] > 0) {
+            --bimodal[index];
+        }
+        return correct;
+    }
+
+    O3Params params;
+    Cycle frontier = 0;
+    unsigned slotInCycle = 0;
+    std::array<Cycle, ArchState::maxRegs> regReady{};
+    std::deque<Cycle> rob;
+    std::deque<std::pair<Addr, Cycle>> storeBuffer;
+    std::vector<std::uint8_t> bimodal;
+    std::vector<Addr> btb;
+    Cycle retireSlot = 0;
+    Cycle lastTotal = 0;
+};
+
+/**
+ * One seeded stream of synthetic retires through both models; one
+ * retire in @p serialize_every serializes (a rare drain lets the ROB
+ * and the store buffer fill and wrap).
+ */
+void
+expectSameDeltas(const O3Params &params, std::uint64_t seed,
+                 std::uint64_t serialize_every)
+{
+    SplitMix64 rng(seed);
+    // A pool of decoded instructions: few registers, so dependencies
+    // are common, and latencies from 1 (ALU) to 12 (divide).
+    std::vector<DecodedInst> pool(64);
+    for (DecodedInst &inst : pool) {
+        inst.rd = std::uint8_t(rng.below(8));
+        inst.rs1 = std::uint8_t(rng.below(8));
+        inst.rs2 = std::uint8_t(rng.below(8));
+        inst.exec_latency = std::uint8_t(rng.chance(1, 8)
+                                             ? rng.range(2, 12) : 1);
+    }
+    O3Timing timing(params);
+    DequeO3Reference reference(params);
+    for (int i = 0; i < 20000; ++i) {
+        RetireInfo info;
+        info.pc = 0x1000 + 4 * rng.below(64);
+        // 1 in 32 has no decoded instruction (fetch or decode fault).
+        info.inst = rng.chance(1, 32) ? nullptr
+                                      : &pool[rng.below(pool.size())];
+        switch (rng.below(8)) {
+          case 0:
+            info.is_load = true;
+            info.mem_addr = 0x8000 + 8 * rng.below(6);
+            info.dcache_extra = rng.chance(1, 6) ? rng.range(1, 200) : 0;
+            break;
+          case 1:
+            info.is_store = true;
+            info.mem_addr = 0x8000 + 8 * rng.below(6);
+            break;
+          case 2:
+            info.cls = InstClass::Branch;
+            info.taken_branch = rng.chance(1, 2);
+            break;
+          case 3:
+            info.cls = InstClass::Jump;
+            info.taken_branch = true;
+            break;
+          default:
+            break;
+        }
+        if (rng.chance(1, serialize_every))
+            info.serializing = true;
+        if (rng.chance(1, 200)) {
+            info.trap = true;
+            info.serializing = rng.chance(3, 4);
+        }
+        if (rng.chance(1, 10))
+            info.icache_extra = rng.range(1, 120);
+        if (rng.chance(1, 12))
+            info.pcu_stall = rng.range(1, 150);
+        ASSERT_EQ(reference.retire(info), timing.retire(info))
+            << "width " << params.width << " rob " << params.rob_entries
+            << " store buffer " << params.store_buffer << " seed " << seed
+            << " step " << i;
+    }
+}
+
+} // namespace
+
+TEST(O3Timing, RingWindowMatchesDequeReference)
+{
+    O3Params tiny;
+    tiny.width = 3;
+    tiny.rob_entries = 4;
+    tiny.btb_entries = 16;
+    std::vector<O3Params> configs = {O3Params{}};
+    for (unsigned store_buffer : {0u, 1u, 3u}) {
+        tiny.store_buffer = store_buffer;
+        configs.push_back(tiny);
+    }
+    for (const O3Params &params : configs) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            for (std::uint64_t serialize_every : {24u, 1000u}) {
+                expectSameDeltas(params, seed, serialize_every);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
 }
