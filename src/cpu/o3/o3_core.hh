@@ -6,10 +6,10 @@
  *
  * The model is an event-free dataflow approximation that is evaluated
  * one retired instruction at a time: per-register ready cycles model
- * dependencies, a completion ring models ROB occupancy, a store buffer
- * models store-to-load forwarding, a 2-bit/BTB predictor models branch
- * redirects, and serializing instructions (CSR writes, gates, traps)
- * drain the window. Retire bandwidth is capped at the commit width.
+ * dependencies, a completion ring models ROB occupancy, a store-buffer
+ * ring models store-to-load forwarding, a 2-bit/BTB predictor models
+ * branch redirects, and serializing instructions (CSR writes, gates,
+ * traps) drain the window. Retire bandwidth is capped at the commit width.
  * This reproduces the paper's x86 latencies in shape: tens of cycles
  * for a gate (full-window serialization) versus >200 for a memory miss
  * and ~1700 for a VM trap.
@@ -19,7 +19,6 @@
 #define ISAGRID_CPU_O3_O3_CORE_HH_
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -65,19 +64,44 @@ class O3Timing
     /** Predict a conditional branch at @p pc; update with @p taken. */
     bool predictAndTrain(Addr pc, bool taken);
 
+    /** Drain the window for a serializing op or a trap (see retire()). */
+    void drain(Cycle complete, Cycle penalty);
+
+    /** One store-buffer slot: address and forwarding-ready cycle. */
+    struct StoreSlot
+    {
+        Addr addr = 0;
+        Cycle ready = 0;
+    };
+
     O3Params params_;
 
     // Dataflow state (absolute cycle timestamps).
     Cycle frontier = 0;      //!< dispatch time of the next instruction
     unsigned slotInCycle = 0; //!< instructions dispatched this cycle
     std::array<Cycle, ArchState::maxRegs> regReady{};
-    std::deque<Cycle> rob;   //!< completion times, oldest first
-    std::deque<std::pair<Addr, Cycle>> storeBuffer;
+
+    // The ROB: a ring of completion times, oldest first, holding at
+    // most rob_entries. robMax is the latest completion pushed since
+    // the last drain (the drain point; see retire()).
+    std::vector<Cycle> rob;
+    std::size_t robHead = 0;
+    std::size_t robCount = 0;
+    Cycle robMax = 0;
+
+    // The store buffer: a ring of the last store_buffer stores.
+    std::vector<StoreSlot> storeBuffer;
+    std::size_t storeHead = 0;
+    std::size_t storeCount = 0;
+
     std::vector<std::uint8_t> bimodal; //!< 2-bit counters
     std::vector<Addr> btb;             //!< target-known bit per set
 
-    Cycle retireSlot = 0; //!< in 1/width cycle units
-    Cycle lastTotal = 0;  //!< cycles reported so far
+    // Retire bandwidth: the last retire slot as (cycle, sub-slot), the
+    // sub-slot counting the commit width, so no divide is needed.
+    Cycle retireCycle = 0;
+    unsigned retireSub = 0;
+    Cycle lastTotal = 0; //!< cycles reported so far
 };
 
 /** gem5-O3-class out-of-order core (see file comment). */
