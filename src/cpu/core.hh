@@ -28,6 +28,7 @@
 #include "isagrid/pcu.hh"
 #include "mem/cache.hh"
 #include "mem/phys_mem.hh"
+#include "mem/ref_table.hh"
 #include "mem/tlb.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
@@ -290,8 +291,8 @@ class CoreBase
     {
         itlb = instruction_tlb;
         dtlb = data_tlb;
-        itlbRef_ = Tlb::Ref{};
-        dtlbRef_ = Tlb::Ref{};
+        itlbRefs_.clear();
+        dtlbRefs_.clear();
     }
 
     StatGroup &stats() { return statGroup; }
@@ -373,17 +374,17 @@ class CoreBase
     timeFetch(Addr pc, RetireInfo &retire)
     {
         if (itlb)
-            retire.icache_extra += itlb->accessRef(pc, itlbRef_);
+            retire.icache_extra += itlb->accessRef(pc, itlbRefs_[pc]);
         if (icache) {
             retire.icache_extra +=
-                icache->accessRef(pc, false, ifetchRef_) - icacheHit_;
+                icache->accessRef(pc, false, fetchRefs_[pc]) - icacheHit_;
             // Next-line prefetcher: both prototype front ends fetch
             // ahead, so sequential code does not pay a miss per line.
             // The fill is modelled as fully hidden (it overlaps the
             // demand miss above).
             Addr next_line = (pc & ~Addr{63}) + 64;
             if (next_line + 64 <= mem.size())
-                icache->accessRef(next_line, false, ifetchNextRef_);
+                icache->accessRef(next_line, false, fetchRefs_[next_line]);
         }
     }
 
@@ -413,10 +414,12 @@ class CoreBase
             mem.size() - res.mem_addr < res.mem_size)
             return FaultType::MemoryFault;
         if (dtlb)
-            retire.dcache_extra += dtlb->accessRef(res.mem_addr, dtlbRef_);
+            retire.dcache_extra +=
+                dtlb->accessRef(res.mem_addr, dtlbRefs_[res.mem_addr]);
         if (dcache) {
             retire.dcache_extra +=
-                dcache->accessRef(res.mem_addr, res.mem_write, dataRef_) -
+                dcache->accessRef(res.mem_addr, res.mem_write,
+                                  dataRefs_[res.mem_addr]) -
                 dcacheHit_;
         }
         retire.mem_addr = res.mem_addr;
@@ -579,18 +582,21 @@ class CoreBase
 
     /**
      * Memoized line/slot refs for every modeled fetch and data access
-     * of both loops (mem/cache.hh Cache::Ref, mem/tlb.hh Tlb::Ref).
-     * Pure fast-path state: each use revalidates against the model, so
-     * a stale ref costs one set scan, never a wrong outcome
-     * (CacheGeometry.RefPathMatchesSetScan). The TLB refs are reset in
-     * setTlbs() because the TLB objects themselves may be swapped; the
-     * cache hierarchies are fixed at construction.
+     * of both loops (mem/cache.hh Cache::Ref, mem/tlb.hh Tlb::Ref),
+     * one direct-mapped table per stream (mem/ref_table.hh), so the
+     * lines of a gate's caller and callee each keep their own ref.
+     * The demand fetch and the next-line prefetch share a table: the
+     * line prefetched now is the line fetched next. Pure fast-path
+     * state: each use revalidates against the model, so a stale or
+     * aliased ref costs one set scan, never a wrong outcome
+     * (CacheGeometry.RefPathMatchesSetScan). The TLB tables are
+     * cleared in setTlbs() because the TLB objects themselves may be
+     * swapped; the cache hierarchies are fixed at construction.
      */
-    Cache::Ref ifetchRef_;
-    Cache::Ref ifetchNextRef_;
-    Cache::Ref dataRef_;
-    Tlb::Ref itlbRef_;
-    Tlb::Ref dtlbRef_;
+    RefTable<Cache::Ref, 64, 6> fetchRefs_;
+    RefTable<Cache::Ref, 64, 6> dataRefs_;
+    RefTable<Tlb::Ref, 16, 12> itlbRefs_;
+    RefTable<Tlb::Ref, 16, 12> dtlbRefs_;
     /** L1 hit latencies, charged as part of the base CPI. */
     const Cycle icacheHit_;
     const Cycle dcacheHit_;

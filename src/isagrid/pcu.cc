@@ -96,7 +96,7 @@ Cycle
 PrivilegeCheckUnit::fillLatency(Addr addr)
 {
     if (timing)
-        return timing->access(addr, false);
+        return timing->accessRef(addr, false, fillRefs_[addr]);
     return config_.fallback_fill_latency;
 }
 

@@ -40,6 +40,7 @@
 #include "isagrid/sgt.hh"
 #include "mem/cache.hh"
 #include "mem/phys_mem.hh"
+#include "mem/ref_table.hh"
 #include "mem/trusted_memory.hh"
 #include "sim/profiler.hh"
 #include "sim/stats.hh"
@@ -469,6 +470,12 @@ class PrivilegeCheckUnit
     PhysMem &mem;
     PcuConfig config_;
     CacheHierarchy *timing;
+    /**
+     * Memoized L1 refs of the fill accesses timed through @p timing
+     * (HPT words, SGT entries, trusted-stack frames), one per line
+     * (mem/ref_table.hh): exact by revalidation, like the core's.
+     */
+    RefTable<Cache::Ref, 16, 6> fillRefs_;
     HptLayout hpt;
     TrustedMemory tmem;
 

@@ -20,6 +20,7 @@
 
 #include "mem/cache.hh"
 #include "mem/phys_mem.hh"
+#include "mem/ref_table.hh"
 #include "mem/tlb.hh"
 #include "mem/trusted_memory.hh"
 #include "mem/zero_pages.hh"
@@ -500,7 +501,9 @@ TEST_P(CacheGeometry, RefPathMatchesSetScan)
     // The memoized Cache::Ref / Tlb::Ref paths are exact by
     // revalidation: one random stream of reads, writes and flushes
     // through access() and through accessRef() must agree in latency
-    // and in every counter at every step.
+    // and in every counter at every step. The memo side keeps its refs
+    // in 4-entry tables, as the core does, so lines and pages alias,
+    // and the core's next-line fetch shares the demand fetch's table.
     auto [size_kb, assoc] = GetParam();
     const std::vector<CacheParams> levels = {
         {"l1", std::uint64_t(size_kb) * 1024, 64, std::uint32_t(assoc), 2},
@@ -508,8 +511,8 @@ TEST_P(CacheGeometry, RefPathMatchesSetScan)
     CacheHierarchy plain(levels, 100), memo(levels, 100);
     const TlbParams tlb_params{"tlb", 16, 4, 4096, 30};
     Tlb plain_tlb(tlb_params), memo_tlb(tlb_params);
-    Cache::Ref refs[2];
-    Tlb::Ref tlb_ref;
+    RefTable<Cache::Ref, 4, 6> refs;
+    RefTable<Tlb::Ref, 4, 12> tlb_refs;
     SplitMix64 rng(7);
     Addr addr = 0;
     for (int i = 0; i < 4000; ++i) {
@@ -536,10 +539,17 @@ TEST_P(CacheGeometry, RefPathMatchesSetScan)
           default: {
             const bool write = rng.chance(1, 3);
             ASSERT_EQ(plain.access(addr, write),
-                      memo.accessRef(addr, write, refs[rng.below(2)]))
+                      memo.accessRef(addr, write, refs[addr]))
                 << "step " << i;
+            if (rng.chance(1, 2)) {
+                const Addr next_line = (addr & ~Addr{63}) + 64;
+                ASSERT_EQ(plain.access(next_line, false),
+                          memo.accessRef(next_line, false,
+                                         refs[next_line]))
+                    << "step " << i;
+            }
             ASSERT_EQ(plain_tlb.access(addr),
-                      memo_tlb.accessRef(addr, tlb_ref))
+                      memo_tlb.accessRef(addr, tlb_refs[addr]))
                 << "step " << i;
           }
         }
