@@ -13,9 +13,11 @@
 #ifndef ISAGRID_ISAGRID_PCU_CACHE_HH_
 #define ISAGRID_ISAGRID_PCU_CACHE_HH_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -25,6 +27,16 @@ namespace isagrid {
 
 /**
  * A fully associative LRU cache mapping a 64-bit tag to a payload.
+ *
+ * Host layout: the tags sit in one contiguous array, so a probe is a
+ * linear compare over 8-byte words; each tag's valid bit, LRU stamp
+ * and payload sit beside it in a parallel slot array, and both arrays
+ * share one allocation. A missing lookup() also picks the victim
+ * (the last invalid slot, else the least recently used) and remembers
+ * it, so the fill() that follows the miss needs no second scan. The
+ * memo is dropped by every state change that could move the victim,
+ * so the victim is always the one a full scan would pick.
+ *
  * @tparam Payload  entry payload (a 64-bit HPT word or an SgtEntry)
  */
 template <typename Payload>
@@ -32,8 +44,15 @@ class PcuCache
 {
   public:
     PcuCache(std::string name, std::uint32_t num_entries)
-        : name_(std::move(name)), statGroup(name_), entries(num_entries)
+        : name_(std::move(name)), statGroup(name_), size_(num_entries)
     {
+        if (size_ > 0) {
+            storage_ = std::make_unique<std::byte[]>(
+                std::size_t(size_) * (sizeof(std::uint64_t) + sizeof(Slot)));
+            tags_ = reinterpret_cast<std::uint64_t *>(storage_.get());
+            slots_ = reinterpret_cast<Slot *>(tags_ + size_);
+            std::uninitialized_value_construct_n(slots_, size_);
+        }
         statGroup.addCounter("hits", hitCount, "tag matches");
         statGroup.addCounter("misses", missCount, "fills from memory");
         statGroup.addCounter("lookups", lookupCount,
@@ -45,10 +64,7 @@ class PcuCache
         }, "hits / probes");
     }
 
-    std::uint32_t numEntries() const
-    {
-        return static_cast<std::uint32_t>(entries.size());
-    }
+    std::uint32_t numEntries() const { return size_; }
 
     /**
      * Attach a trace buffer: lookup/fill/flushAll then emit cache
@@ -66,17 +82,22 @@ class PcuCache
     lookup(std::uint64_t tag, Payload &out)
     {
         ++lookupCount;
-        for (auto &e : entries) {
-            if (e.valid && e.tag == tag) {
-                e.lru = ++lruClock;
-                out = e.payload;
-                ++hitCount;
-                ISAGRID_TRACE_EVENT(trace_, TraceKind::CacheHit, tag, 0,
-                                    traceId);
-                return true;
-            }
+        std::uint32_t i = find(tag);
+        if (i != kNone) {
+            Slot &slot = slots_[i];
+            slot.lru = ++lruClock;
+            out = slot.payload;
+            ++hitCount;
+            missVictim_ = kNone; // the LRU order moved
+            ISAGRID_TRACE_EVENT(trace_, TraceKind::CacheHit, tag, 0,
+                                traceId);
+            return true;
         }
         ++missCount;
+        if (size_ > 0) {
+            missTag_ = tag;
+            missVictim_ = victim();
+        }
         ISAGRID_TRACE_EVENT(trace_, TraceKind::CacheMiss, tag, 0,
                             traceId);
         return false;
@@ -91,37 +112,35 @@ class PcuCache
     contains(std::uint64_t tag)
     {
         ++lookupCount;
-        for (const auto &e : entries)
-            if (e.valid && e.tag == tag)
-                return true;
-        return false;
+        return find(tag) != kNone;
     }
 
     /** Insert (or update) an entry, evicting the LRU victim. */
     void
     fill(std::uint64_t tag, const Payload &payload)
     {
-        if (entries.empty())
+        if (size_ == 0)
             return;
-        // One full pass: an existing entry with this tag must win over
-        // any victim candidate, or the CAM ends up holding the same tag
-        // twice (and lookups could then return a stale payload).
-        Entry *victim = nullptr;
-        for (auto &e : entries) {
-            if (e.valid && e.tag == tag) { // update in place
-                e.payload = payload;
-                e.lru = ++lruClock;
+        std::uint32_t v = missVictim_;
+        missVictim_ = kNone;
+        if (v == kNone || missTag_ != tag) {
+            // No miss of this tag since the last change: an existing
+            // entry with this tag must win over any victim candidate,
+            // or the CAM ends up holding the same tag twice (and
+            // lookups could then return a stale payload).
+            std::uint32_t i = find(tag);
+            if (i != kNone) { // update in place
+                slots_[i].payload = payload;
+                slots_[i].lru = ++lruClock;
                 return;
             }
-            if (!victim || !e.valid ||
-                (victim->valid && e.lru < victim->lru)) {
-                victim = &e;
-            }
+            v = victim();
         }
-        victim->valid = true;
-        victim->tag = tag;
-        victim->payload = payload;
-        victim->lru = ++lruClock;
+        tags_[v] = tag;
+        Slot &slot = slots_[v];
+        slot.valid = true;
+        slot.payload = payload;
+        slot.lru = ++lruClock;
         ISAGRID_TRACE_EVENT(trace_, TraceKind::CacheFill, tag, 0,
                             traceId);
     }
@@ -131,8 +150,9 @@ class PcuCache
     flushAll()
     {
         ++flushCount;
-        for (auto &e : entries)
-            e.valid = false;
+        missVictim_ = kNone;
+        for (std::uint32_t i = 0; i < size_; ++i)
+            slots_[i].valid = false;
         ISAGRID_TRACE_EVENT(trace_, TraceKind::CacheFlush, 0, 0,
                             traceId);
     }
@@ -146,11 +166,10 @@ class PcuCache
     void
     flushTag(std::uint64_t tag)
     {
-        for (auto &e : entries) {
-            if (e.valid && e.tag == tag) {
-                e.valid = false;
-                return;
-            }
+        std::uint32_t i = find(tag);
+        if (i != kNone) {
+            slots_[i].valid = false;
+            missVictim_ = kNone;
         }
     }
 
@@ -161,20 +180,48 @@ class PcuCache
     /** Total CAM tag compares performed (energy proxy). */
     std::uint64_t camCompares() const
     {
-        return lookupCount.value() * entries.size();
+        return lookupCount.value() * size_;
     }
 
     StatGroup &stats() { return statGroup; }
     const std::string &name() const { return name_; }
 
   private:
-    struct Entry
+    /** Everything of an entry but its tag. */
+    struct Slot
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
         std::uint64_t lru = 0;
+        bool valid = false;
         Payload payload{};
     };
+
+    // The slots live in raw storage_ and are never destroyed.
+    static_assert(std::is_trivially_destructible_v<Slot>);
+
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    /** Index of the valid entry holding @p tag, or kNone. */
+    std::uint32_t
+    find(std::uint64_t tag) const
+    {
+        for (std::uint32_t i = 0; i < size_; ++i)
+            if (tags_[i] == tag && slots_[i].valid)
+                return i;
+        return kNone;
+    }
+
+    /** The replacement victim: the last invalid slot, else the LRU. */
+    std::uint32_t
+    victim() const
+    {
+        std::uint32_t v = 0;
+        for (std::uint32_t i = 1; i < size_; ++i) {
+            if (!slots_[i].valid ||
+                (slots_[v].valid && slots_[i].lru < slots_[v].lru))
+                v = i;
+        }
+        return v;
+    }
 
     std::string name_;
     Counter hitCount;
@@ -182,8 +229,15 @@ class PcuCache
     Counter lookupCount;
     Counter flushCount;
     StatGroup statGroup;
-    std::vector<Entry> entries;
+    std::uint32_t size_;
+    /** One allocation: size_ tags, then size_ slots. */
+    std::unique_ptr<std::byte[]> storage_;
+    std::uint64_t *tags_ = nullptr;
+    Slot *slots_ = nullptr;
     std::uint64_t lruClock = 0;
+    /** Victim picked by the last missing lookup() (see class comment). */
+    std::uint32_t missVictim_ = kNone;
+    std::uint64_t missTag_ = 0;
     TraceBuffer *trace_ = nullptr;
     std::uint16_t traceId = 0;
 };

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "isa/riscv/riscv_isa.hh"
 #include "isa/x86/x86_isa.hh"
@@ -634,6 +635,165 @@ TEST(PcuCacheUnit, FillUpdatesMatchingEntryPastInvalidSlot)
     EXPECT_EQ(v, 20u) << "stale duplicate payload won the match scan";
     EXPECT_TRUE(cache.lookup(0xD, v));
     EXPECT_TRUE(cache.lookup(0xE, v));
+}
+
+namespace {
+
+/**
+ * The privilege cache as first written: an array of {valid, tag, lru,
+ * payload} entries, where lookup() scans for the tag and fill() scans
+ * again for the tag and the victim (the last invalid slot, else the
+ * least recently used).
+ */
+class TwoScanCacheReference
+{
+  public:
+    explicit TwoScanCacheReference(std::uint32_t n) : entries(n) {}
+
+    bool
+    lookup(std::uint64_t tag, std::uint64_t &out)
+    {
+        ++lookups;
+        for (auto &e : entries) {
+            if (e.valid && e.tag == tag) {
+                e.lru = ++clock;
+                out = e.payload;
+                ++hits;
+                return true;
+            }
+        }
+        ++misses;
+        return false;
+    }
+
+    bool
+    contains(std::uint64_t tag)
+    {
+        ++lookups;
+        for (const auto &e : entries)
+            if (e.valid && e.tag == tag)
+                return true;
+        return false;
+    }
+
+    void
+    fill(std::uint64_t tag, std::uint64_t payload)
+    {
+        if (entries.empty())
+            return;
+        Entry *victim = nullptr;
+        for (auto &e : entries) {
+            if (e.valid && e.tag == tag) {
+                e.payload = payload;
+                e.lru = ++clock;
+                return;
+            }
+            if (!victim || !e.valid ||
+                (victim->valid && e.lru < victim->lru))
+                victim = &e;
+        }
+        *victim = {true, tag, ++clock, payload};
+    }
+
+    void
+    flushAll()
+    {
+        for (auto &e : entries)
+            e.valid = false;
+    }
+
+    void
+    flushTag(std::uint64_t tag)
+    {
+        for (auto &e : entries) {
+            if (e.valid && e.tag == tag) {
+                e.valid = false;
+                return;
+            }
+        }
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t lookups = 0;
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        std::uint64_t tag = 0;
+        std::uint64_t lru = 0;
+        std::uint64_t payload = 0;
+    };
+    std::vector<Entry> entries;
+    std::uint64_t clock = 0;
+};
+
+} // namespace
+
+TEST(PcuCacheUnit, VictimReuseMatchesTwoScanReference)
+{
+    // fill() after a missing lookup() reuses the victim the lookup
+    // picked. A random stream of lookups, fills (mostly of the tag
+    // that just missed), presence probes and flushes must behave
+    // exactly like the two-scan cache: same hits, same payloads, same
+    // counters, hence the same evictions.
+    for (std::uint32_t entries : {1u, 2u, 4u, 8u}) {
+        PcuCache<std::uint64_t> cache("unit_victim", entries);
+        TwoScanCacheReference ref(entries);
+        SplitMix64 rng(entries);
+        std::uint64_t last_miss = 0;
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t tag = rng.below(3 * entries + 2);
+            const std::uint64_t payload = rng.next();
+            switch (rng.below(20)) {
+              case 0:
+                cache.flushTag(tag);
+                ref.flushTag(tag);
+                break;
+              case 1:
+                if (rng.chance(1, 8)) {
+                    cache.flushAll();
+                    ref.flushAll();
+                }
+                break;
+              case 2:
+                ASSERT_EQ(ref.contains(tag), cache.contains(tag))
+                    << entries << " entries, step " << i;
+                break;
+              case 3:
+              case 4:
+                cache.fill(tag, payload);
+                ref.fill(tag, payload);
+                break;
+              case 5:
+              case 6:
+                // The miss-then-fill pattern of the PCU's walks, with
+                // another lookup in between now and then.
+                cache.fill(last_miss, payload);
+                ref.fill(last_miss, payload);
+                break;
+              default: {
+                std::uint64_t got = 0, want = 0;
+                const bool hit = ref.lookup(tag, want);
+                ASSERT_EQ(hit, cache.lookup(tag, got))
+                    << entries << " entries, step " << i;
+                if (hit) {
+                    ASSERT_EQ(want, got)
+                        << entries << " entries, step " << i;
+                } else if (rng.chance(3, 4)) {
+                    cache.fill(tag, payload);
+                    ref.fill(tag, payload);
+                } else {
+                    last_miss = tag;
+                }
+              }
+            }
+            ASSERT_EQ(ref.hits, cache.hits()) << "step " << i;
+            ASSERT_EQ(ref.misses, cache.misses()) << "step " << i;
+            ASSERT_EQ(ref.lookups, cache.lookups()) << "step " << i;
+        }
+    }
 }
 
 TEST(PcuCacheUnit, ContainsCountsTowardLookupEnergyProxy)
