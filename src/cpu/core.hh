@@ -563,7 +563,12 @@ class CoreBase
         archState.cycle = cycleCount;
         DomainId domain = pcu_.currentDomain();
         if (domain != curUsageDomain || !curUsage) [[unlikely]] {
-            curUsage = &domainUsage_[domain];
+            UsageMemo &memo = usageMemo_[domain % usageMemo_.size()];
+            if (memo.domain != domain || !memo.usage) {
+                memo.domain = domain;
+                memo.usage = &domainUsage_[domain];
+            }
+            curUsage = memo.usage;
             curUsageDomain = domain;
         }
         ++curUsage->instructions;
@@ -617,11 +622,19 @@ class CoreBase
     std::map<DomainId, DomainUsage> domainUsage_;
     /**
      * Memoized domainUsage_ slot of the current domain (node pointers
-     * are stable in std::map), so retirement skips the map walk until
-     * the domain actually changes.
+     * are stable in std::map, and entries are never erased), so
+     * retirement skips the map walk until the domain actually changes.
+     * A switch then finds the new domain's slot in a small
+     * direct-mapped memo, indexed by domain id, before walking the map.
      */
     DomainUsage *curUsage = nullptr;
     DomainId curUsageDomain = ~DomainId{0};
+    struct UsageMemo
+    {
+        DomainId domain = ~DomainId{0};
+        DomainUsage *usage = nullptr;
+    };
+    std::array<UsageMemo, 8> usageMemo_{};
     std::vector<SimMark> simMarks;
     std::unique_ptr<DecodeCache> decodeCache_;
     std::unique_ptr<BlockEngine> blockEngine_;

@@ -11,6 +11,8 @@
 #ifndef ISAGRID_SIM_STATS_HH_
 #define ISAGRID_SIM_STATS_HH_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -59,11 +61,9 @@ class Histogram
     void
     sample(std::uint64_t value)
     {
-        unsigned bucket = 0;
-        while (bucket + 1 < buckets_.size() &&
-               value >= (std::uint64_t{1} << bucket))
-            ++bucket;
-        ++buckets_[bucket];
+        // Bucket i >= 1 holds [2^(i-1), 2^i - 1]: the bit width of v.
+        const std::size_t last = buckets_.size() - 1;
+        ++buckets_[std::min<std::size_t>(std::bit_width(value), last)];
         ++count_;
         sum_ += value;
         sumSquares_ += double(value) * double(value);

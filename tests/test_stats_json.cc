@@ -96,6 +96,38 @@ TEST(Histogram, BucketsByPowerOfTwoWithExactMoments)
     EXPECT_EQ(h.min(), 0u);
 }
 
+TEST(Histogram, BucketBoundaries)
+{
+    // Bucket i >= 1 holds [2^(i-1), 2^i - 1]; values past the last
+    // bucket clamp into it, however large.
+    Histogram wide{16};
+    Histogram single{1};
+    auto bucket_of = [](Histogram &h, std::uint64_t v) {
+        h.reset();
+        h.sample(v);
+        for (unsigned i = 0; i < h.numBuckets(); ++i)
+            if (h.bucketCount(i) == 1)
+                return i;
+        return ~0u;
+    };
+    EXPECT_EQ(bucket_of(wide, 0), 0u);
+    EXPECT_EQ(bucket_of(wide, 1), 1u);
+    EXPECT_EQ(bucket_of(wide, 2), 2u);
+    for (unsigned k = 1; k < 15; ++k) {
+        EXPECT_EQ(bucket_of(wide, (std::uint64_t{1} << k) - 1), k)
+            << "2^" << k << " - 1";
+        EXPECT_EQ(bucket_of(wide, std::uint64_t{1} << k), k + 1)
+            << "2^" << k;
+    }
+    EXPECT_EQ(bucket_of(wide, (std::uint64_t{1} << 15) - 1), 15u);
+    EXPECT_EQ(bucket_of(wide, std::uint64_t{1} << 15), 15u);
+    EXPECT_EQ(bucket_of(wide, std::uint64_t{1} << 63), 15u);
+    EXPECT_EQ(bucket_of(wide, ~std::uint64_t{0}), 15u);
+    for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1},
+                            std::uint64_t{2}, std::uint64_t{1} << 63})
+        EXPECT_EQ(bucket_of(single, v), 0u) << v;
+}
+
 TEST(Histogram, RegistersInAStatGroup)
 {
     Histogram h{4};
