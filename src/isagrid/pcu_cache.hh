@@ -14,6 +14,7 @@
 #define ISAGRID_ISAGRID_PCU_CACHE_HH_
 
 #include <cstddef>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -28,14 +29,15 @@ namespace isagrid {
 /**
  * A fully associative LRU cache mapping a 64-bit tag to a payload.
  *
- * Host layout: the tags sit in one contiguous array, so a probe is a
- * linear compare over 8-byte words; each tag's valid bit, LRU stamp
- * and payload sit beside it in a parallel slot array, and both arrays
- * share one allocation. A missing lookup() also picks the victim
- * (the last invalid slot, else the least recently used) and remembers
- * it, so the fill() that follows the miss needs no second scan. The
- * memo is dropped by every state change that could move the victim,
- * so the victim is always the one a full scan would pick.
+ * Host layout: three parallel arrays in one allocation. The tags sit
+ * in one contiguous array, so a probe is a linear compare over 8-byte
+ * words. Beside them, each entry's LRU stamp doubles as its valid bit
+ * (stamps start at 1; 0 marks an invalid entry), and the payloads
+ * follow. A missing lookup() also picks the victim (the last invalid
+ * slot, else the least recently used) and remembers it, so the fill()
+ * that follows the miss needs no second scan. The memo is dropped by
+ * every state change that could move the victim, so the victim is
+ * always the one a full scan would pick.
  *
  * @tparam Payload  entry payload (a 64-bit HPT word or an SgtEntry)
  */
@@ -47,11 +49,14 @@ class PcuCache
         : name_(std::move(name)), statGroup(name_), size_(num_entries)
     {
         if (size_ > 0) {
+            // Zeroed: every stamp 0 (invalid), every tag 0.
             storage_ = std::make_unique<std::byte[]>(
-                std::size_t(size_) * (sizeof(std::uint64_t) + sizeof(Slot)));
+                std::size_t(size_) *
+                (2 * sizeof(std::uint64_t) + sizeof(Payload)));
             tags_ = reinterpret_cast<std::uint64_t *>(storage_.get());
-            slots_ = reinterpret_cast<Slot *>(tags_ + size_);
-            std::uninitialized_value_construct_n(slots_, size_);
+            stamps_ = tags_ + size_;
+            payloads_ = reinterpret_cast<Payload *>(stamps_ + size_);
+            std::uninitialized_value_construct_n(payloads_, size_);
         }
         statGroup.addCounter("hits", hitCount, "tag matches");
         statGroup.addCounter("misses", missCount, "fills from memory");
@@ -84,9 +89,8 @@ class PcuCache
         ++lookupCount;
         std::uint32_t i = find(tag);
         if (i != kNone) {
-            Slot &slot = slots_[i];
-            slot.lru = ++lruClock;
-            out = slot.payload;
+            stamps_[i] = ++lruClock;
+            out = payloads_[i];
             ++hitCount;
             missVictim_ = kNone; // the LRU order moved
             ISAGRID_TRACE_EVENT(trace_, TraceKind::CacheHit, tag, 0,
@@ -130,17 +134,15 @@ class PcuCache
             // lookups could then return a stale payload).
             std::uint32_t i = find(tag);
             if (i != kNone) { // update in place
-                slots_[i].payload = payload;
-                slots_[i].lru = ++lruClock;
+                payloads_[i] = payload;
+                stamps_[i] = ++lruClock;
                 return;
             }
             v = victim();
         }
         tags_[v] = tag;
-        Slot &slot = slots_[v];
-        slot.valid = true;
-        slot.payload = payload;
-        slot.lru = ++lruClock;
+        payloads_[v] = payload;
+        stamps_[v] = ++lruClock;
         ISAGRID_TRACE_EVENT(trace_, TraceKind::CacheFill, tag, 0,
                             traceId);
     }
@@ -151,8 +153,7 @@ class PcuCache
     {
         ++flushCount;
         missVictim_ = kNone;
-        for (std::uint32_t i = 0; i < size_; ++i)
-            slots_[i].valid = false;
+        std::fill_n(stamps_, size_, 0);
         ISAGRID_TRACE_EVENT(trace_, TraceKind::CacheFlush, 0, 0,
                             traceId);
     }
@@ -168,7 +169,7 @@ class PcuCache
     {
         std::uint32_t i = find(tag);
         if (i != kNone) {
-            slots_[i].valid = false;
+            stamps_[i] = 0;
             missVictim_ = kNone;
         }
     }
@@ -187,16 +188,8 @@ class PcuCache
     const std::string &name() const { return name_; }
 
   private:
-    /** Everything of an entry but its tag. */
-    struct Slot
-    {
-        std::uint64_t lru = 0;
-        bool valid = false;
-        Payload payload{};
-    };
-
-    // The slots live in raw storage_ and are never destroyed.
-    static_assert(std::is_trivially_destructible_v<Slot>);
+    // The payloads live in raw storage_ and are never destroyed.
+    static_assert(std::is_trivially_destructible_v<Payload>);
 
     static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
@@ -205,21 +198,23 @@ class PcuCache
     find(std::uint64_t tag) const
     {
         for (std::uint32_t i = 0; i < size_; ++i)
-            if (tags_[i] == tag && slots_[i].valid)
+            if (tags_[i] == tag && stamps_[i] != 0)
                 return i;
         return kNone;
     }
 
-    /** The replacement victim: the last invalid slot, else the LRU. */
+    /**
+     * The replacement victim: the last invalid slot, else the LRU.
+     * With invalid stamps at 0 and valid ones unique, that is the
+     * last slot holding the smallest stamp.
+     */
     std::uint32_t
     victim() const
     {
         std::uint32_t v = 0;
-        for (std::uint32_t i = 1; i < size_; ++i) {
-            if (!slots_[i].valid ||
-                (slots_[v].valid && slots_[i].lru < slots_[v].lru))
+        for (std::uint32_t i = 1; i < size_; ++i)
+            if (stamps_[i] <= stamps_[v])
                 v = i;
-        }
         return v;
     }
 
@@ -230,10 +225,11 @@ class PcuCache
     Counter flushCount;
     StatGroup statGroup;
     std::uint32_t size_;
-    /** One allocation: size_ tags, then size_ slots. */
+    /** One allocation: size_ tags, size_ stamps, size_ payloads. */
     std::unique_ptr<std::byte[]> storage_;
     std::uint64_t *tags_ = nullptr;
-    Slot *slots_ = nullptr;
+    std::uint64_t *stamps_ = nullptr; //!< LRU stamp; 0 = invalid
+    Payload *payloads_ = nullptr;
     std::uint64_t lruClock = 0;
     /** Victim picked by the last missing lookup() (see class comment). */
     std::uint32_t missVictim_ = kNone;
