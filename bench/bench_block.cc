@@ -5,11 +5,11 @@
  * Three views of the engine on the workloads the bench harness
  * already tracks:
  *
- *   residency   fig5 lmbench (decomposed RISC-V, 8E.) and the attack
- *               corpus: share of retired instructions that came out
- *               of translated blocks, chain hit rate (successor found
- *               in a block's chain slots), check-memo hit rate (epoch
- *               match vs bypass re-validation), and fallback counts
+ *   residency   fig5 lmbench (decomposed RISC-V, 8E.): share of
+ *               retired instructions that came out of translated
+ *               blocks, chain hit rate (successor found in a block's
+ *               chain slots), check-memo hit rate (epoch match vs
+ *               bypass re-validation), and fallback counts
  *   latency     pure translation cost: every block the lmbench run
  *               produced is flushed and re-translated cold, timed
  *   speed       host MIPS of the block-engine lmbench run, compared
@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "attacks/attacks.hh"
 #include "bench_common.hh"
 
 using namespace isagrid;
@@ -67,43 +66,6 @@ runLmbench(std::uint32_t hot_threshold)
               faultName(out.result.fault));
     out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
     return out;
-}
-
-/** The attack corpus (both payload modes) with the block engine on. */
-BlockEngine::HostStats
-runAttackCorpus(std::uint64_t &instructions)
-{
-    BlockEngine::HostStats total{};
-    instructions = 0;
-    for (const AttackScenario &scenario : attackScenarios(false)) {
-        for (bool with_isagrid : {true, false}) {
-            if (scenario.requires_isagrid && !with_isagrid)
-                continue;
-            PreparedAttack prepared =
-                prepareAttack(scenario, false, with_isagrid);
-            Machine &m = *prepared.machine;
-            m.core().setBlockEngine(2);
-            m.core().reset(prepared.payload_entry);
-            if (with_isagrid) {
-                m.pcu().setGridReg(GridReg::Domain,
-                                   prepared.payload_domain);
-            }
-            RunResult r = m.core().run(100'000);
-            instructions += r.instructions;
-            const BlockEngine::HostStats &s =
-                m.core().blockEngine()->stats();
-            total.translations += s.translations;
-            total.entries += s.entries;
-            total.chained_entries += s.chained_entries;
-            total.chain_hits += s.chain_hits;
-            total.chain_misses += s.chain_misses;
-            total.fallbacks += s.fallbacks;
-            total.memo_hits += s.memo_hits;
-            total.memo_fills += s.memo_fills;
-            total.translated_insts += s.translated_insts;
-        }
-    }
-    return total;
 }
 
 std::string
@@ -162,16 +124,13 @@ main(int argc, char **argv)
     auto [baseline_path, repeat, gate] = parseOverheadArgs(
         argc, argv, std::string(BENCH_BASELINE_DIR) + "/BENCH_fig5.json");
 
-    heading("Block-engine residency (fig5 lmbench + attack corpus)");
+    heading("Block-engine residency (fig5 lmbench)");
 
     LmbenchRun warm = runLmbench(BlockEngine::kDefaultHotThreshold);
     const BlockEngine *eng = warm.machine->core().blockEngine();
     Table t({"workload", "metric", "value"});
     residencyRows(t, "lmbench", eng->stats(),
                   warm.result.instructions);
-    std::uint64_t attack_insts = 0;
-    BlockEngine::HostStats attacks = runAttackCorpus(attack_insts);
-    residencyRows(t, "attacks", attacks, attack_insts);
     t.print();
 
     heading("Translation latency");
