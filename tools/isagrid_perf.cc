@@ -28,6 +28,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -280,11 +281,13 @@ class JsonParser
             ++pos_;
         if (pos_ == start)
             return fail("unexpected character");
-        try {
-            out.number = std::stod(text_.substr(start, pos_ - start));
-        } catch (...) {
+        // The whole token must be one number: "1-2" or "1e" is an
+        // error, not the prefix "1".
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        auto [end, ec] = std::from_chars(first, last, out.number);
+        if (ec != std::errc() || end != last)
             return fail("bad number");
-        }
         out.kind = Json::Kind::Number;
         return true;
     }
