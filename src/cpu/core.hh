@@ -562,17 +562,13 @@ class CoreBase
         cycleCount += delta;
         archState.cycle = cycleCount;
         DomainId domain = pcu_.currentDomain();
-        if (domain != curUsageDomain || !curUsage) [[unlikely]] {
-            UsageMemo &memo = usageMemo_[domain % usageMemo_.size()];
-            if (memo.domain != domain || !memo.usage) {
-                memo.domain = domain;
-                memo.usage = &domainUsage_[domain];
-            }
-            curUsage = memo.usage;
-            curUsageDomain = domain;
+        UsageMemo &memo = usageMemo_[domain % usageMemo_.size()];
+        if (memo.domain != domain || !memo.usage) [[unlikely]] {
+            memo.domain = domain;
+            memo.usage = &domainUsage_[domain];
         }
-        ++curUsage->instructions;
-        curUsage->cycles += delta;
+        ++memo.usage->instructions;
+        memo.usage->cycles += delta;
         if (instCount.value() >= perfNextAt_) [[unlikely]]
             perfTick(retire.pc, block_start);
     }
@@ -621,14 +617,11 @@ class CoreBase
     std::array<Counter, 16> faultCounters;
     std::map<DomainId, DomainUsage> domainUsage_;
     /**
-     * Memoized domainUsage_ slot of the current domain (node pointers
-     * are stable in std::map, and entries are never erased), so
-     * retirement skips the map walk until the domain actually changes.
-     * A switch then finds the new domain's slot in a small
-     * direct-mapped memo, indexed by domain id, before walking the map.
+     * Memoized domainUsage_ slots, direct-mapped by domain id (node
+     * pointers are stable in std::map, and entries are never erased),
+     * so retirement walks the map only when a domain first runs or
+     * displaces another from its memo slot, not at every switch.
      */
-    DomainUsage *curUsage = nullptr;
-    DomainId curUsageDomain = ~DomainId{0};
     struct UsageMemo
     {
         DomainId domain = ~DomainId{0};

@@ -64,7 +64,7 @@ class O3Timing
     /** Predict a conditional branch at @p pc; update with @p taken. */
     bool predictAndTrain(Addr pc, bool taken);
 
-    /** Drain the window for a serializing op or a trap (see retire()). */
+    /** Drain the window for a serializing op or a trap. */
     void drain(Cycle complete, Cycle penalty);
 
     /** One store-buffer slot: address and forwarding-ready cycle. */
@@ -83,7 +83,7 @@ class O3Timing
 
     // The ROB: a ring of completion times, oldest first, holding at
     // most rob_entries. robMax is the latest completion pushed since
-    // the last drain (the drain point; see retire()).
+    // the last drain (the drain point; see drain()).
     std::vector<Cycle> rob;
     std::size_t robHead = 0;
     std::size_t robCount = 0;

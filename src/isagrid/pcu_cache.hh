@@ -13,8 +13,8 @@
 #ifndef ISAGRID_ISAGRID_PCU_CACHE_HH_
 #define ISAGRID_ISAGRID_PCU_CACHE_HH_
 
-#include <cstddef>
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -49,14 +49,14 @@ class PcuCache
         : name_(std::move(name)), statGroup(name_), size_(num_entries)
     {
         if (size_ > 0) {
-            // Zeroed: every stamp 0 (invalid), every tag 0.
+            // Zeroed, so every stamp starts 0 (invalid); a payload is
+            // read only after fill() wrote it.
             storage_ = std::make_unique<std::byte[]>(
                 std::size_t(size_) *
                 (2 * sizeof(std::uint64_t) + sizeof(Payload)));
             tags_ = reinterpret_cast<std::uint64_t *>(storage_.get());
             stamps_ = tags_ + size_;
             payloads_ = reinterpret_cast<Payload *>(stamps_ + size_);
-            std::uninitialized_value_construct_n(payloads_, size_);
         }
         statGroup.addCounter("hits", hitCount, "tag matches");
         statGroup.addCounter("misses", missCount, "fills from memory");
@@ -188,8 +188,10 @@ class PcuCache
     const std::string &name() const { return name_; }
 
   private:
-    // The payloads live in raw storage_ and are never destroyed.
-    static_assert(std::is_trivially_destructible_v<Payload>);
+    // The payloads live in raw storage_, never constructed or
+    // destroyed: only plain data may sit there.
+    static_assert(std::is_trivially_copyable_v<Payload> &&
+                  std::is_trivially_destructible_v<Payload>);
 
     static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
